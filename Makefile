@@ -48,7 +48,7 @@ bench:
 #   make bench-compare REF=HEAD~1     # working tree vs previous commit
 REF ?= HEAD
 bench-compare:
-	scripts/bench_compare.sh $(REF) $(BENCH)
+	scripts/bench_compare.sh $(REF) '$(BENCH)'
 
 # Cold/warm result-cache pair against a fresh store: the warm run must be
 # near-instant with byte-identical output. See EXPERIMENTS.md "Warm/cold

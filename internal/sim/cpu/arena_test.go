@@ -67,57 +67,78 @@ func TestArenaFillToCapacity(t *testing.T) {
 	}
 }
 
-// TestStaleGenerationReady exercises the generation-tag staleness rule
-// directly: a dependency ref whose sequence tag no longer matches the slot's
-// occupant refers to a retired-and-recycled producer and must read as ready,
-// while a matching, incomplete occupant must not.
+// TestStaleGenerationReady exercises rename-time operand resolution against
+// the generation-tag staleness rule: a producer ref whose sequence tag no
+// longer matches the slot's occupant names a retired-and-recycled producer
+// and imposes nothing; a live, unexecuted producer gets a consumer edge; an
+// executed producer contributes its completion cycle.
 func TestStaleGenerationReady(t *testing.T) {
-	p, err := New(testConfig())
+	const cycle = 10
+	base, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap := uint64(arenaCapOf(p))
+	lap := uint64(arenaCapOf(base))
+	// rename dispatches a consumer (seq 6, reading reg 60 in source slot 0)
+	// whose reg-60 producer is the given occupant of slot 5.
+	rename := func(producer uop) (*Pipeline, *uop, *uop) {
+		p, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.cycle = cycle
+		producer.consHead = nilLink
+		p.arena[5] = producer
+		p.regProducer[60] = 5
+		p.seq = 6
+		c := p.at(6)
+		*c = uop{seq: 6, consHead: nilLink}
+		c.srcRegs[0] = 60
+		p.decq[0] = 6
+		p.decqLen = 1
+		p.dispatch()
+		if p.robCount != 1 {
+			t.Fatal("consumer not dispatched")
+		}
+		return p, p.at(5), c
+	}
+	isReady := func(p *Pipeline) bool { return p.ready[0]&(1<<6) != 0 }
 
-	ref := uref(5)
-	consumer := &uop{seq: 100}
-	consumer.deps[0] = ref
-
-	// Slot 5 recycled: it now holds the uop with seq 5+cap. The ref's tag
-	// mismatches, so the original producer retired — ready.
-	p.arena[5] = uop{seq: 5 + cap}
-	if ready, _ := p.depsReady(consumer); !ready {
-		t.Fatal("stale-generation dependency not treated as ready")
-	}
-	if consumer.deps[0] != noref {
-		t.Fatal("stale dependency ref not cleared after resolving")
+	// Slot 5 recycled: it now holds the uop with seq 5+lap. The ref's tag
+	// mismatches, so the original producer retired — ready at dispatch.
+	p, prod, c := rename(uop{seq: 5 + lap})
+	if c.waiting != 0 || c.readyAt != 0 || !isReady(p) || prod.consHead != nilLink {
+		t.Fatalf("stale producer: waiting=%d readyAt=%d ready=%v edge=%#x, want ready with no edge",
+			c.waiting, c.readyAt, isReady(p), prod.consHead)
 	}
 
-	// Same slot, matching generation, still executing: not ready, and with
-	// no wake-up horizon — the producer's completion cycle is unknown.
-	consumer.deps[0] = ref
-	p.arena[5] = uop{seq: 5, completed: false}
-	if ready, wakeAt := p.depsReady(consumer); ready || wakeAt != 0 {
-		t.Fatalf("live incomplete dependency: ready=%v wakeAt=%d, want not ready with no horizon", ready, wakeAt)
+	// Same slot, matching generation, not yet executed: the consumer waits
+	// on one edge from the producer, with no horizon of its own.
+	p, prod, c = rename(uop{seq: 5})
+	if c.waiting != 1 || prod.consHead != 6<<srcBits || isReady(p) || p.nextDue() != ^uint64(0) {
+		t.Fatalf("live producer: waiting=%d edge=%#x ready=%v due=%d, want one edge from slot 6 source 0",
+			c.waiting, prod.consHead, isReady(p), p.nextDue())
+	}
+	// Executing the producer wakes the consumer at its completion cycle.
+	p.execute(prod)
+	if c.waiting != 0 || c.readyAt != cycle+1 || prod.consHead != nilLink || p.nextDue() != cycle+1 {
+		t.Fatalf("after execute: waiting=%d readyAt=%d edge=%#x due=%d, want scheduled for %d",
+			c.waiting, c.readyAt, prod.consHead, p.nextDue(), cycle+1)
 	}
 
-	// Matching generation, completed but in the future: not ready, and the
-	// horizon is the producer's completion cycle.
-	p.arena[5].completed = true
-	p.arena[5].complete = 42
-	if ready, wakeAt := p.depsReady(consumer); ready || wakeAt != 42 {
-		t.Fatalf("executing dependency: ready=%v wakeAt=%d, want not ready with horizon 42", ready, wakeAt)
-	}
-	if consumer.deps[0] == noref {
-		t.Fatal("still-executing dependency ref must stay linked")
+	// Matching generation, executed with completion in the future: no
+	// edge, readyAt is the completion cycle, and the consumer waits on the
+	// timing wheel.
+	p, prod, c = rename(uop{seq: 5, completed: true, complete: 42})
+	if c.waiting != 0 || c.readyAt != 42 || isReady(p) || prod.consHead != nilLink || p.nextDue() != 42 {
+		t.Fatalf("executing producer: waiting=%d readyAt=%d ready=%v due=%d, want on the wheel for 42",
+			c.waiting, c.readyAt, isReady(p), p.nextDue())
 	}
 
-	// Matching generation, completed in the past: ready, and resolved.
-	p.arena[5].complete = 0
-	if ready, _ := p.depsReady(consumer); !ready {
-		t.Fatal("completed dependency not treated as ready")
-	}
-	if consumer.deps[0] != noref {
-		t.Fatal("completed dependency ref not cleared after resolving")
+	// Matching generation, completed in the past: ready at dispatch.
+	p, _, c = rename(uop{seq: 5, completed: true, complete: 3})
+	if c.waiting != 0 || !isReady(p) {
+		t.Fatalf("completed producer: waiting=%d ready=%v, want ready", c.waiting, isReady(p))
 	}
 }
 

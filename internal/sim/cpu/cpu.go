@@ -338,8 +338,9 @@ func newPipeline(cfg Config, hier *mem.Hierarchy, coreID int) (*Pipeline, error)
 	// The arena must cover every in-flight uop: each live uop sits in
 	// exactly one of FTQ, decode queue, or ROB, so their capacity sum
 	// (rounded to a power of two for masked indexing) guarantees no live
-	// slot is ever reused.
-	arenaCap := nextPow2(cfg.FTQSize + cfg.DecodeQueue + cfg.ROBSize)
+	// slot is ever reused. At least 64 slots keep the scheduler's ready
+	// bitmap a whole number of words.
+	arenaCap := nextPow2(max(64, cfg.FTQSize+cfg.DecodeQueue+cfg.ROBSize))
 	ftqCap := nextPow2(cfg.FTQSize)
 	decqCap := nextPow2(cfg.DecodeQueue)
 	sqCap := nextPow2(cfg.SQSize)
@@ -356,10 +357,12 @@ func newPipeline(cfg Config, hier *mem.Hierarchy, coreID int) (*Pipeline, error)
 		ftqMask:   uint32(ftqCap - 1),
 		decq:      make([]uref, decqCap),
 		decqMask:  uint32(decqCap - 1),
-		pending:   make([]uref, 0, cfg.ROBSize),
+		nextEdge:  make([]uint32, arenaCap<<srcBits),
+		ready:     make([]uint64, arenaCap/64),
 		sq:        make([]sqEntry, sqCap),
 		sqMask:    uint32(sqCap - 1),
 	}
+	p.resetScheduler()
 	if cfg.UseTLBs {
 		tcfg := cfg.TLBs
 		if tcfg == (mem.TLBHierarchyConfig{}) {

@@ -114,7 +114,8 @@ func (m *MultiPipeline) Run(srcs []champtrace.Source, warmup, maxInstructions ui
 	}
 	skip := !m.cfg.NoCycleSkip
 	// All active cores share one clock; align them (fresh pipelines are all
-	// at zero, reused ones may have idled through a previous run).
+	// at zero, reused ones may have idled or stopped early in a previous
+	// run, possibly with uops still in flight).
 	cycle := uint64(0)
 	for i, p := range m.cores {
 		if !m.done[i] && p.cycle > cycle {
@@ -123,7 +124,7 @@ func (m *MultiPipeline) Run(srcs []champtrace.Source, warmup, maxInstructions ui
 	}
 	for i, p := range m.cores {
 		if !m.done[i] {
-			p.cycle = cycle
+			p.realignClock(cycle)
 		}
 	}
 	for active > 0 {

@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"tracerebase/internal/champtrace"
 	"tracerebase/internal/sim/btb"
@@ -35,10 +36,16 @@ type uop struct {
 
 	srcRegs [champtrace.NumSrcRegs]uint8
 	dstRegs [champtrace.NumDestRegs]uint8
-	// deps holds refs to the producers of each source register. A ref is
-	// resolved (set to norefs) as soon as it is observed ready, so the
-	// scheduler never rechecks a completed producer.
-	deps [champtrace.NumSrcRegs]uref
+
+	// Scheduler state (see issue). waiting counts source operands whose
+	// producer had not executed at rename; readyAt is the latest known
+	// completion cycle among the producers, valid once waiting is zero.
+	// consHead heads this uop's list of consumer edges, woken when it
+	// executes; wheelNext links the uop into its timing-wheel bucket.
+	readyAt   uint64
+	waiting   uint8
+	consHead  uint32
+	wheelNext uint32
 
 	fetchLine   uint64
 	decodeReady uint64
@@ -64,6 +71,23 @@ type uref = uint32
 // noref is the nil uref.
 const noref uref = 0
 
+// Event-driven scheduler geometry. A consumer edge names one source operand
+// of one arena slot as slot<<srcBits | srcIdx, so one producer can feed any
+// number of consumers through the intrusive lists, with no capacity limit.
+// The timing wheel has one bucket per cycle over wheelSize cycles, enough
+// for a DRAM round trip through every cache level in one lap; an entry with
+// a longer latency stays in its bucket for further laps.
+const (
+	srcBits   = 2
+	wheelSize = 1024
+	wheelMask = wheelSize - 1
+	// nilLink terminates consumer-edge and wheel-bucket lists.
+	nilLink = ^uint32(0)
+)
+
+// srcBits must cover exactly the trace format's source-register slots.
+var _ [1 << srcBits]struct{} = [champtrace.NumSrcRegs]struct{}{}
+
 type sqEntry struct {
 	addr  uint64 // 8-byte-aligned store address
 	ready uint64 // cycle the data can be forwarded
@@ -88,12 +112,12 @@ type Pipeline struct {
 	arenaMask uint32
 
 	// Front end.
-	la      lookahead
-	ftq     []uref // ring, capacity ≥ FTQSize
-	ftqMask uint32
-	ftqHead uint32
-	ftqLen  int
-	decq    []uref // ring, capacity ≥ DecodeQueue
+	la        lookahead
+	ftq       []uref // ring, capacity ≥ FTQSize
+	ftqMask   uint32
+	ftqHead   uint32
+	ftqLen    int
+	decq      []uref // ring, capacity ≥ DecodeQueue
 	decqMask  uint32
 	decqHead  uint32
 	decqLen   int
@@ -116,13 +140,21 @@ type Pipeline struct {
 	// oldest robCount live uops of the arena, in sequence order, with the
 	// head at sequence p.retired+1.
 	robCount int
-	// pending holds dispatched-but-not-issued uops in age order, so the
-	// scheduler scans only waiting instructions instead of the whole ROB.
-	pending []uref
-	sq      []sqEntry // ring, capacity ≥ SQSize (power of two)
-	sqMask  uint32
-	sqHead  uint32
-	sqLen   int
+	// Event-driven scheduler. nextEdge links consumer edges (indexed by
+	// edge, see srcBits). ready is a bitmap over arena slots of uops whose
+	// operands are available, nReady its population; slot order from the
+	// ROB head is age order. wheel holds uops whose operands become
+	// available at a known future cycle, bucketed by readyAt & wheelMask,
+	// with wheelBusy marking the non-empty buckets.
+	nextEdge  []uint32
+	ready     []uint64
+	nReady    int
+	wheel     [wheelSize]uint32
+	wheelBusy [wheelSize / 64]uint64
+	sq        []sqEntry // ring, capacity ≥ SQSize (power of two)
+	sqMask    uint32
+	sqHead    uint32
+	sqLen     int
 	// regProducer tracks the most recent writer of each register id.
 	// Entries go stale when the producer retires; staleness is detected
 	// by the uref generation check, never by clearing.
@@ -260,8 +292,8 @@ func (p *Pipeline) Run(src champtrace.Source, warmup, maxInstructions uint64) (S
 		return Stats{}, fmt.Errorf("cpu: configuration %q has Cores=%d; single-core Run cannot simulate it, use NewMulti/MultiPipeline.Run", p.cfg.Name, p.cfg.Cores)
 	}
 	if p.cfg.SamplePeriod > 0 {
-		// Interval sampling (sample.go). The exact path below is not
-		// shared with it and remains byte-identical to prior releases.
+		// Interval sampling (sample.go). It shares only the per-cycle
+		// step with the exact path below.
 		return p.runSampled(src, warmup, maxInstructions)
 	}
 	if err := p.la.init(src); err != nil {
@@ -273,18 +305,7 @@ func (p *Pipeline) Run(src champtrace.Source, warmup, maxInstructions uint64) (S
 	}
 	skip := !p.cfg.NoCycleSkip
 	for {
-		p.pass()
-		if skip && !p.progressed && p.nextWake != ^uint64(0) && p.nextWake > p.cycle+1 {
-			// Zero-progress pass with a known horizon: every stage is
-			// blocked until at least nextWake, so the intervening cycles
-			// cannot change any state. Jump straight there. (Counters
-			// accumulate unconditionally; beginMeasurement resets them,
-			// exactly like the other warm-up-excluded stats.)
-			p.jumpTo(p.nextWake)
-		} else {
-			p.cycle++
-		}
-
+		p.step(skip)
 		if !p.measuring && p.retired >= warmup {
 			p.measuring = true
 			p.beginMeasurement()
@@ -310,6 +331,22 @@ func (p *Pipeline) pass() {
 	p.dispatch()
 	p.fetch()
 	p.bpuFill()
+}
+
+// step runs one pass and advances the clock. After a zero-progress pass
+// with a known horizon every stage is blocked until at least nextWake, so
+// the intervening cycles cannot change any state and the clock jumps
+// straight there; otherwise it ticks. (Skip counters accumulate
+// unconditionally; beginMeasurement resets them, exactly like the other
+// warm-up-excluded stats.) The single-core exact, resumed, and sampled
+// loops all advance through step.
+func (p *Pipeline) step(skip bool) {
+	p.pass()
+	if skip && !p.progressed && p.nextWake != ^uint64(0) && p.nextWake > p.cycle+1 {
+		p.jumpTo(p.nextWake)
+	} else {
+		p.cycle++
+	}
 }
 
 // jumpTo performs an event-horizon jump to cycle wake, accounting the
@@ -404,62 +441,126 @@ func (p *Pipeline) retire() {
 
 // ---- Issue / execute ----
 
+// issue is an event-driven scheduler: uops never wait in a queue that is
+// rescanned every cycle. Rename (dispatch) links each source operand to its
+// unexecuted producer; execute walks the producer's consumer edges; a uop
+// whose last operand becomes known is scheduled (see schedule) into the
+// ready bitmap or onto the timing wheel. Each cycle, issue first moves the
+// wheel bucket now due into the ready set, then issues up to IssueWidth of
+// the oldest ready uops.
 func (p *Pipeline) issue() {
+	p.drainBucket(p.cycle & wheelMask)
 	issued := 0
-	keep := p.pending[:0]
-	for i, r := range p.pending {
-		if issued >= p.cfg.IssueWidth {
-			keep = append(keep, p.pending[i:]...)
-			break
-		}
-		u := p.at(r)
-		ready, wakeAt := p.depsReady(u)
-		if !ready {
-			if wakeAt > p.cycle {
-				p.wake(wakeAt)
-			}
-			keep = append(keep, r)
+	// Scan the ready bitmap in age order, starting from the ROB head's slot
+	// and wrapping at the end of the ring. The scan is incremental: a
+	// consumer that an issuing uop wakes for this very cycle (possible only
+	// with a zero-latency L1D hit) is younger, so it lies ahead of the scan
+	// position and is picked up in the same cycle.
+	head := uint32(p.retired+1) & p.arenaMask
+	for off := uint32(0); p.nReady > 0 && issued < p.cfg.IssueWidth; off++ {
+		slot := (head + off) & p.arenaMask
+		w := p.ready[slot>>6] >> (slot & 63)
+		if w == 0 {
+			// Nothing ready up to the end of this word (the arena is a
+			// whole number of words, so a word never straddles the wrap).
+			off += 63 - slot&63
 			continue
 		}
+		off += uint32(bits.TrailingZeros64(w))
+		slot = (head + off) & p.arenaMask
+		p.ready[slot>>6] &^= 1 << (slot & 63)
+		p.nReady--
 		issued++
 		p.progressed = true
-		p.execute(u)
+		p.execute(&p.arena[slot])
 	}
-	p.pending = keep
+	if issued == 0 {
+		// Every unissued uop either waits on an unexecuted producer or sits
+		// on the wheel, and the oldest one is always on the wheel: its
+		// producers are strictly older, hence already issued. The earliest
+		// wheel entry is therefore the scheduler's event horizon.
+		if c := p.nextDue(); c != ^uint64(0) {
+			p.wake(c)
+		}
+	}
 }
 
-// depsReady reports whether all of u's source producers are complete as of
-// p.cycle. When they are not but every blocking producer has at least
-// executed, the second result is the cycle the last of them completes — the
-// uop's wake-up horizon. It is 0 when some producer has not executed yet:
-// such a uop has no horizon of its own, but the oldest pending uop always
-// does (its producers are strictly older, hence already issued), so a
-// zero-progress scheduler pass always registers at least one wake-up.
-func (p *Pipeline) depsReady(u *uop) (bool, uint64) {
-	ready, wakeAt := true, uint64(0)
-	for i := range u.deps {
-		r := u.deps[i]
-		if r == noref {
+// schedule places a uop whose operands' completion cycles are all known:
+// into the ready set when they are available by now, otherwise onto the
+// timing wheel bucket of the cycle they become available.
+func (p *Pipeline) schedule(slot uint32, u *uop) {
+	if u.readyAt <= p.cycle {
+		p.ready[slot>>6] |= 1 << (slot & 63)
+		p.nReady++
+		return
+	}
+	b := u.readyAt & wheelMask
+	u.wheelNext = p.wheel[b]
+	p.wheel[b] = slot
+	p.wheelBusy[b>>6] |= 1 << (b & 63)
+}
+
+// drainBucket reschedules every uop in wheel bucket b against the current
+// cycle: those now due move to the ready set, and those a whole lap or more
+// ahead go back into the same bucket.
+func (p *Pipeline) drainBucket(b uint64) {
+	if p.wheelBusy[b>>6]&(1<<(b&63)) == 0 {
+		return
+	}
+	s := p.wheel[b]
+	p.wheel[b] = nilLink
+	p.wheelBusy[b>>6] &^= 1 << (b & 63)
+	for s != nilLink {
+		u := &p.arena[s]
+		next := u.wheelNext
+		p.schedule(s, u)
+		s = next
+	}
+}
+
+// nextDue returns the earliest readyAt on the wheel (^0 when empty). Every
+// wheel entry is due after the current cycle, and one in the bucket d
+// cycles ahead is due no earlier than cycle+d, so the search walks the
+// non-empty buckets in cycle order and stops once no later bucket can hold
+// anything earlier — normally at the first non-empty bucket, unless that
+// bucket holds only entries a lap or more ahead.
+func (p *Pipeline) nextDue() uint64 {
+	due := ^uint64(0)
+	for d := uint64(1); d <= wheelSize && p.cycle+d < due; d++ {
+		b := (p.cycle + d) & wheelMask
+		w := p.wheelBusy[b>>6] >> (b & 63)
+		if w == 0 {
+			d += 63 - b&63
 			continue
 		}
-		d := p.at(r)
-		if uint32(d.seq) == r {
-			if !d.completed {
-				return false, 0
-			}
-			if d.complete > p.cycle {
-				ready = false
-				if d.complete > wakeAt {
-					wakeAt = d.complete
-				}
-				continue
-			}
+		d += uint64(bits.TrailingZeros64(w))
+		for s := p.wheel[(p.cycle+d)&wheelMask]; s != nilLink; s = p.arena[s].wheelNext {
+			due = min(due, p.arena[s].readyAt)
 		}
-		// Stale ref (producer retired, slot recycled) or completed
-		// producer: resolved for good, never recheck.
-		u.deps[i] = noref
 	}
-	return ready, wakeAt
+	return due
+}
+
+// resetScheduler empties the ready set and the timing wheel: the scheduler
+// state of a pipeline with no uop waiting to issue.
+func (p *Pipeline) resetScheduler() {
+	clear(p.ready)
+	p.nReady = 0
+	for i := range p.wheel {
+		p.wheel[i] = nilLink
+	}
+	p.wheelBusy = [wheelSize / 64]uint64{}
+}
+
+// realignClock moves the clock forward to cycle c without ticking through
+// the span (a reused multi-core core joining the shared clock). The wheel
+// buckets of the skipped cycles are never drained, so every entry due by c
+// moves to the ready set here instead of waiting a lap for its bucket.
+func (p *Pipeline) realignClock(c uint64) {
+	p.cycle = c
+	for b := uint64(0); b < wheelSize; b++ {
+		p.drainBucket(b)
+	}
 }
 
 func (p *Pipeline) execute(u *uop) {
@@ -492,6 +593,17 @@ func (p *Pipeline) execute(u *uop) {
 		u.complete = p.cycle + 1
 	}
 	u.completed = true
+	// Wake the consumers: the result's cycle is now known.
+	for e := u.consHead; e != nilLink; e = p.nextEdge[e] {
+		slot := e >> srcBits
+		c := &p.arena[slot]
+		c.readyAt = max(c.readyAt, u.complete)
+		c.waiting--
+		if c.waiting == 0 {
+			p.schedule(slot, c)
+		}
+	}
+	u.consHead = nilLink
 }
 
 func (p *Pipeline) pushStore(addr, ready, seq uint64) {
@@ -529,12 +641,32 @@ func (p *Pipeline) dispatch() {
 		p.progressed = true
 		p.decqHead = (p.decqHead + 1) & p.decqMask
 		p.decqLen--
-		// Register rename: link sources to their producers and claim
-		// destinations.
+		// Register rename: resolve each source against its producer, then
+		// claim destinations. A retired producer (stale ref) imposes
+		// nothing; an executed one contributes its completion cycle; an
+		// unexecuted one gets a consumer edge and wakes this uop when it
+		// executes.
+		slot := r & p.arenaMask
 		for i, reg := range u.srcRegs {
-			if reg != champtrace.RegInvalid {
-				u.deps[i] = p.regProducer[reg]
+			if reg == champtrace.RegInvalid {
+				continue
 			}
+			pr := p.regProducer[reg]
+			if pr == noref {
+				continue
+			}
+			d := p.at(pr)
+			if uint32(d.seq) != pr {
+				continue
+			}
+			if d.completed {
+				u.readyAt = max(u.readyAt, d.complete)
+				continue
+			}
+			e := slot<<srcBits | uint32(i)
+			p.nextEdge[e] = d.consHead
+			d.consHead = e
+			u.waiting++
 		}
 		for _, reg := range u.dstRegs {
 			if reg != champtrace.RegInvalid {
@@ -542,7 +674,9 @@ func (p *Pipeline) dispatch() {
 			}
 		}
 		p.robCount++
-		p.pending = append(p.pending, r)
+		if u.waiting == 0 {
+			p.schedule(slot, u)
+		}
 		n++
 	}
 }
@@ -680,6 +814,7 @@ func (p *Pipeline) newUop(in *champtrace.Instruction, nextIP uint64) (uref, *uop
 		srcRegs:   in.SrcRegs,
 		dstRegs:   in.DestRegs,
 		fetchLine: mem.LineAddr(in.IP),
+		consHead:  nilLink,
 	}
 	if u.taken {
 		u.target = nextIP

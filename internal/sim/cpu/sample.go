@@ -158,7 +158,7 @@ func (p *Pipeline) sampleLoop(limit uint64) (Stats, error) {
 	return p.st, nil
 }
 
-// runDetailedInterval runs the unmodified detailed cycle loop until target
+// runDetailedInterval runs the detailed cycle loop (step) until target
 // instructions have retired, opening the measurement window once rampAt
 // retire (pipeline refilled after the gap). It returns the window's stats;
 // the pipeline is left mid-flight for flushInflight to drain functionally —
@@ -168,20 +168,7 @@ func (p *Pipeline) runDetailedInterval(target, rampAt uint64) (Stats, error) {
 	skip := !p.cfg.NoCycleSkip
 	open := false
 	for {
-		p.nextWake = ^uint64(0)
-		p.progressed = false
-		p.retire()
-		p.issue()
-		p.dispatch()
-		p.fetch()
-		p.bpuFill()
-		if skip && !p.progressed && p.nextWake != ^uint64(0) && p.nextWake > p.cycle+1 {
-			p.st.SkippedCycles += p.nextWake - p.cycle - 1
-			p.st.CycleSkips++
-			p.cycle = p.nextWake
-		} else {
-			p.cycle++
-		}
+		p.step(skip)
 		if !open && p.retired >= rampAt {
 			open = true
 			p.beginMeasurement()
@@ -189,7 +176,7 @@ func (p *Pipeline) runDetailedInterval(target, rampAt uint64) (Stats, error) {
 		if p.retired >= target {
 			break
 		}
-		if p.la.done && p.robCount == 0 && p.ftqLen == 0 && p.decqLen == 0 {
+		if p.drained() {
 			break
 		}
 	}
@@ -233,7 +220,7 @@ func (p *Pipeline) flushInflight() {
 	p.robCount = 0
 	p.ftqLen = 0
 	p.decqLen = 0
-	p.pending = p.pending[:0]
+	p.resetScheduler()
 	p.sqHead = 0
 	p.sqLen = 0
 	p.stalled = false
@@ -609,19 +596,13 @@ func (p *Pipeline) RunFrom(src champtrace.Source, ckpt Checkpoint, maxInstructio
 // runExactBody is Run's post-warm-up detailed loop for checkpoint resumes
 // of exact configurations: measurement starts immediately (the restored
 // prefix was the warm-up) and the run ends at maxInstructions total retired
-// or trace exhaustion. It mirrors Run's loop body; Run itself is untouched
-// so the default path stays byte-identical.
+// or trace exhaustion. It advances through the same step as Run.
 func (p *Pipeline) runExactBody(maxInstructions uint64) (Stats, error) {
 	p.measuring = true
 	p.beginMeasurement()
 	skip := !p.cfg.NoCycleSkip
 	for {
-		p.pass()
-		if skip && !p.progressed && p.nextWake != ^uint64(0) && p.nextWake > p.cycle+1 {
-			p.jumpTo(p.nextWake)
-		} else {
-			p.cycle++
-		}
+		p.step(skip)
 		if maxInstructions > 0 && p.retired >= maxInstructions {
 			break
 		}
