@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"tracerebase/internal/frame"
 )
 
 // Config configures a Store. The zero value plus Dir is usable.
@@ -34,23 +37,23 @@ type Config struct {
 type Stats struct {
 	// Appends is cells offered; DupSkipped of those were already present
 	// (on disk or pending) under the same content key and were dropped.
-	Appends    uint64
-	DupSkipped uint64
+	Appends    uint64 `json:"appends"`
+	DupSkipped uint64 `json:"dup_skipped"`
 	// BlocksWritten / CellsWritten / BytesWritten cover both fresh flushes
 	// and compaction outputs.
-	BlocksWritten uint64
-	CellsWritten  uint64
-	BytesWritten  uint64
+	BlocksWritten uint64 `json:"blocks_written"`
+	CellsWritten  uint64 `json:"cells_written"`
+	BytesWritten  uint64 `json:"bytes_written"`
 	// Compactions counts merge passes; BlocksCompacted the inputs retired.
-	Compactions     uint64
-	BlocksCompacted uint64
+	Compactions     uint64 `json:"compactions"`
+	BlocksCompacted uint64 `json:"blocks_compacted"`
 	// Corrupt blocks were removed (their cells return on the next sweep);
 	// Foreign blocks (other format or schema) are skipped but kept.
-	Corrupt uint64
-	Foreign uint64
+	Corrupt uint64 `json:"corrupt"`
+	Foreign uint64 `json:"foreign"`
 	// WriteErrors counts failed block writes. Appends degrade gracefully:
 	// the sweep result is still returned, the store just misses the cell.
-	WriteErrors uint64
+	WriteErrors uint64 `json:"write_errors"`
 }
 
 // blockRef is one on-disk block. Mappings are created lazily under
@@ -241,14 +244,14 @@ func (s *Store) acquire(ref *blockRef) (*blockRef, error) {
 			return
 		}
 		defer f.Close()
-		data, err := mapFile(f, ref.size)
+		data, err := frame.MapFile(f, ref.size)
 		if err != nil {
 			ref.mapErr = err
 			return
 		}
 		h, bm, metas, v, err := openBlock(data)
 		if err != nil {
-			unmapFile(data)
+			frame.Unmap(data)
 			if v == blockCorrupt {
 				ref.mapErr = fmt.Errorf("%w (removed)", err)
 				s.mu.Lock()
@@ -437,19 +440,14 @@ func (s *Store) writeBlockLocked(cells []Cell, bm blockMeta, seq, gen int, bumpS
 	if err != nil {
 		return nil, err
 	}
-	tmp, err := os.CreateTemp(s.cfg.Dir, "tmp-*")
+	tmpPath, _, err := frame.WriteTemp(s.cfg.Dir, func(w io.Writer) error {
+		_, err := w.Write(img)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	tmpPath := tmp.Name()
 	defer os.Remove(tmpPath)
-	if _, err := tmp.Write(img); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, err
-	}
 	var path string
 	for {
 		if bumpSeq {
@@ -531,7 +529,7 @@ func (s *Store) Close() error {
 	s.mu.Unlock()
 	for _, ref := range refs {
 		if ref.data != nil {
-			unmapFile(ref.data)
+			frame.Unmap(ref.data)
 			ref.data = nil
 		}
 	}

@@ -1,10 +1,19 @@
-// Package frame holds the self-validating record framing shared by every
-// on-disk store in the tree: the result cache's TRRC records (and their
-// HTTP wire form), the compiled-trace slab store's checksums, and the
-// experiment store's block footers. A frame binds a payload to the 32-byte
-// content key it was stored under — magic, version, embedded key, length,
-// and a CRC-32C over the payload — so a renamed, truncated, bit-flipped,
-// or misrouted record reads as corrupt instead of as data.
+// Package frame is the on-disk store discipline shared by every store in
+// the tree:
+//
+//   - Record framing: a frame binds a payload to the 32-byte content key it
+//     was stored under (magic, version, embedded key, length, and a CRC-32C
+//     over the payload), so a renamed, truncated, bit-flipped, or
+//     misrouted record reads as corrupt instead of as data. The result
+//     cache's TRRC records (and their HTTP wire form) and the experiment
+//     store's block footers are frames; the compiled-trace slab store
+//     shares its checksum.
+//   - Dir: the content-addressed sharded directory behind the result cache
+//     and the slab store. It decides LRU eviction order under a byte
+//     budget, publishes entries atomically, and forgets entries whose
+//     files vanished.
+//   - WriteTemp: the one temp-file writer every store publishes through.
+//   - MapFile/Unmap: read-only shared mappings of store files.
 package frame
 
 import (

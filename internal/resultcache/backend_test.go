@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 )
@@ -115,6 +116,42 @@ func TestDiskBackendRoundTrip(t *testing.T) {
 	// Deleting an absent key is not an error.
 	if err := d.Delete(key); err != nil {
 		t.Fatalf("Delete of absent key: %v", err)
+	}
+}
+
+// TestDiskVanishedEntryUnindexed removes an entry's file behind the
+// store's back (as another process's eviction would): the miss must also
+// drop the entry from the footprint, or the ghost keeps counting against
+// the budget and later Puts evict live entries early.
+func TestDiskVanishedEntryUnindexed(t *testing.T) {
+	payload := []byte("12345")
+	recSize := int64(len(encodeRecord(bkey("a"), payload)))
+	d, err := NewDisk(DiskConfig{Dir: t.TempDir(), MaxBytes: 2 * recSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b"} {
+		if err := d.Put(bkey(k), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(d.EntryPath(bkey("b"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Get(bkey("b")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("vanished entry: err=%v, want ErrNotFound", err)
+	}
+	if got := d.DiskBytes(); got != recSize {
+		t.Fatalf("DiskBytes = %d after the vanished entry's miss, want %d", got, recSize)
+	}
+	if err := d.Put(bkey("c"), payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Get(bkey("a")); err != nil {
+		t.Fatalf("live entry a evicted to make room for a ghost: %v", err)
+	}
+	if s := d.Stat(); s.Evictions != 0 {
+		t.Fatalf("Evictions = %d, want 0", s.Evictions)
 	}
 }
 

@@ -7,10 +7,10 @@
 // per-record allocation — and the mapping is shared read-only across
 // variants, workers, and (through the page cache) processes.
 //
-// The store reuses the resultcache discipline: SHA-256 content keys,
-// sharded v<version>/<hh>/<key>.slab paths, atomic CreateTemp+Rename
-// writes, mtime-seeded LRU eviction under a byte budget, and single-flight
-// conversion. Unlike resultcache entries, slabs are keyed WITHOUT the build
+// The store shares the result cache's discipline: SHA-256 content keys,
+// and a frame.Dir of sharded v<version>/<hh>/<key>.slab files with atomic
+// publishing and mtime-seeded LRU eviction under a byte budget; on top it
+// adds single-flight conversion and mmap residency. Unlike resultcache entries, slabs are keyed WITHOUT the build
 // fingerprint — they survive rebuilds — so correctness is gated by explicit
 // algorithm versions (core.ConverterVersion, synth.GeneratorVersion,
 // FormatVersion) that must be bumped when output can change, backstopped by

@@ -3,6 +3,7 @@ package tracestore
 import (
 	"tracerebase/internal/champtrace"
 	"tracerebase/internal/core"
+	"tracerebase/internal/frame"
 )
 
 // Slab is one converted trace, resident in the store. Its record slice is
@@ -69,7 +70,7 @@ func (s *Slab) Release() {
 // no reference remains and the store has dropped residency.
 func (s *Slab) destroy() {
 	if s.data != nil {
-		unmapFile(s.data)
+		frame.Unmap(s.data)
 		s.data = nil
 	} else if s.heap && s.store != nil {
 		s.store.putScratch(s.recs)

@@ -3,18 +3,13 @@ package tracestore
 import (
 	"bufio"
 	"fmt"
-
 	"io"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
-	"time"
 
 	"tracerebase/internal/champtrace"
 	"tracerebase/internal/core"
 	"tracerebase/internal/frame"
-	"tracerebase/internal/resultcache"
 )
 
 // Config parameterizes Open.
@@ -49,28 +44,32 @@ const DefaultMaxResident = 32
 // Stats counts store activity since Open.
 type Stats struct {
 	// Hits = MemHits + DiskHits. Misses each trigger one conversion.
-	Hits, Misses uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// MemHits were served from an already-resident mapping, DiskHits by
 	// mapping (and validating) a slab file.
-	MemHits, DiskHits uint64
+	MemHits  uint64 `json:"mem_hits"`
+	DiskHits uint64 `json:"disk_hits"`
 	// SharedWaits counts single-flight joins on an in-progress conversion.
-	SharedWaits uint64
+	SharedWaits uint64 `json:"shared_waits"`
 	// Converts counts invocations of the caller's convert function;
 	// ConvertErrors counts the ones that failed (never stored).
-	Converts, ConvertErrors uint64
+	Converts      uint64 `json:"converts"`
+	ConvertErrors uint64 `json:"convert_errors"`
 	// Corrupt counts slab files that failed validation and were discarded;
 	// each also shows up as a miss and a reconversion.
-	Corrupt uint64
+	Corrupt uint64 `json:"corrupt"`
 	// Evictions counts slab files removed by the disk LRU bound.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// WriteErrors counts persist failures; the converted slab is still
 	// served from the heap, so a read-only store degrades gracefully.
-	WriteErrors uint64
+	WriteErrors uint64 `json:"write_errors"`
 	// Prefetches counts slabs warmed ahead of use by Prefetch.
-	Prefetches uint64
+	Prefetches uint64 `json:"prefetches"`
 	// BytesMapped counts slab file bytes mapped from disk; BytesWritten
 	// counts slab file bytes persisted.
-	BytesMapped, BytesWritten uint64
+	BytesMapped  uint64 `json:"bytes_mapped"`
+	BytesWritten uint64 `json:"bytes_written"`
 }
 
 // ConvertFunc builds the records for a slab on a store miss. scratch is a
@@ -83,16 +82,10 @@ type flight struct {
 	err  error
 }
 
-type diskEntry struct {
-	size  int64
-	atime int64 // logical LRU clock, not wall time
-}
-
 // Store is the content-addressed slab store. All methods are safe for
 // concurrent use.
 type Store struct {
-	dir         string // versioned root: Config.Dir/v<FormatVersion>
-	maxBytes    int64
+	dir         *frame.Dir // versioned root: Config.Dir/v<FormatVersion>
 	maxResident int
 	warn        func(string, ...any)
 
@@ -105,9 +98,6 @@ type Store struct {
 	mu      sync.Mutex
 	open    map[Key]*Slab // resident slabs (mapped, reusable)
 	flights map[Key]*flight
-	disk    map[Key]diskEntry
-	total   int64 // sum of disk entry sizes
-	clock   int64 // disk LRU logical time
 	tick    uint64
 	stats   Stats
 	closed  bool
@@ -129,88 +119,24 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Warn == nil {
 		cfg.Warn = func(string, ...any) {}
 	}
-	root := filepath.Join(cfg.Dir, fmt.Sprintf("v%d", FormatVersion))
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	dir, err := frame.OpenDir(filepath.Join(cfg.Dir, fmt.Sprintf("v%d", FormatVersion)), ".slab", cfg.MaxBytes)
+	if err != nil {
 		return nil, fmt.Errorf("tracestore: %w", err)
 	}
-	s := &Store{
-		dir:         root,
-		maxBytes:    cfg.MaxBytes,
+	return &Store{
+		dir:         dir,
 		maxResident: cfg.MaxResident,
 		warn:        cfg.Warn,
 		open:        make(map[Key]*Slab),
 		flights:     make(map[Key]*flight),
-		disk:        make(map[Key]diskEntry),
-	}
-	if err := s.scan(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// scan builds the disk index, seeding LRU ages from file mtimes so
-// eviction order survives across processes.
-func (s *Store) scan() error {
-	shards, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("tracestore: %w", err)
-	}
-	type aged struct {
-		key   Key
-		size  int64
-		mtime time.Time
-	}
-	var found []aged
-	for _, sh := range shards {
-		if !sh.IsDir() || len(sh.Name()) != 2 {
-			continue
-		}
-		shardDir := filepath.Join(s.dir, sh.Name())
-		files, err := os.ReadDir(shardDir)
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			name := f.Name()
-			if strings.HasPrefix(name, "tmp-") {
-				os.Remove(filepath.Join(shardDir, name))
-				continue
-			}
-			if !strings.HasSuffix(name, ".slab") {
-				continue
-			}
-			key, err := resultcache.ParseKey(strings.TrimSuffix(name, ".slab"))
-			if err != nil {
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			found = append(found, aged{key, info.Size(), info.ModTime()})
-		}
-	}
-	for i := 1; i < len(found); i++ {
-		for j := i; j > 0 && found[j].mtime.Before(found[j-1].mtime); j-- {
-			found[j], found[j-1] = found[j-1], found[j]
-		}
-	}
-	for _, e := range found {
-		s.clock++
-		s.disk[e.key] = diskEntry{size: e.size, atime: s.clock}
-		s.total += e.size
-	}
-	return nil
+	}, nil
 }
 
 // EntryPath returns where the slab for key lives (or would live) on disk.
-func (s *Store) EntryPath(key Key) string {
-	hexKey := key.String()
-	return filepath.Join(s.dir, hexKey[:2], hexKey+".slab")
-}
+func (s *Store) EntryPath(key Key) string { return s.dir.Path(key) }
 
 // Dir returns the versioned store root.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.dir.Root() }
 
 // Stats returns a snapshot of the activity counters.
 func (s *Store) Stats() Stats {
@@ -220,11 +146,7 @@ func (s *Store) Stats() Stats {
 }
 
 // DiskBytes returns the indexed on-disk footprint.
-func (s *Store) DiskBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
+func (s *Store) DiskBytes() int64 { return s.dir.Bytes() }
 
 func (s *Store) getScratch() []champtrace.Instruction {
 	if p, ok := s.scratch.Get().(*[]champtrace.Instruction); ok {
@@ -370,22 +292,15 @@ func (s *Store) Prefetch(key Key) {
 // files (other format version or architecture) are left in place for the
 // native writer to atomically replace.
 func (s *Store) loadDisk(key Key, ref bool) *Slab {
-	path := s.EntryPath(key)
-	f, err := os.Open(path)
+	f, size, err := s.dir.Open(key)
 	if err != nil {
 		return nil
 	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil
-	}
-	size := info.Size()
 	verdict := headerCorrupt
 	var sl *Slab
 	if size >= headerSize+footerSize {
 		var data []byte
-		data, err = mapFile(f, size)
+		data, err = frame.MapFile(f, size)
 		if err == nil {
 			var h header
 			h, verdict = parseHeader(data[:headerSize], key)
@@ -406,27 +321,22 @@ func (s *Store) loadDisk(key Key, ref bool) *Slab {
 				}
 			}
 			if sl == nil {
-				unmapFile(data)
+				frame.Unmap(data)
 			}
 		}
 	}
 	f.Close()
 	if sl == nil {
 		if verdict == headerCorrupt {
-			os.Remove(path)
-			s.warn("tracestore: discarding corrupt slab %s", path)
+			s.dir.Remove(key)
+			s.warn("tracestore: discarding corrupt slab %s", s.EntryPath(key))
 			s.mu.Lock()
 			s.stats.Corrupt++
-			if e, ok := s.disk[key]; ok {
-				s.total -= e.size
-				delete(s.disk, key)
-			}
 			s.mu.Unlock()
 		}
 		return nil
 	}
-	now := time.Now()
-	os.Chtimes(path, now, now) // refresh cross-process LRU age; best-effort
+	s.dir.Hit(key, size)
 	s.mu.Lock()
 	if prior, ok := s.open[key]; ok {
 		// Lost a race with another loader (Prefetch vs GetOrConvert): keep
@@ -437,21 +347,12 @@ func (s *Store) loadDisk(key Key, ref bool) *Slab {
 			s.stats.MemHits++
 		}
 		s.mu.Unlock()
-		unmapFile(sl.data)
+		frame.Unmap(sl.data)
 		return prior
 	}
 	s.stats.Hits++
 	s.stats.DiskHits++
 	s.stats.BytesMapped += uint64(size)
-	s.clock++
-	if e, ok := s.disk[key]; ok {
-		e.atime = s.clock
-		s.disk[key] = e
-	} else {
-		// Written by another process after our scan.
-		s.disk[key] = diskEntry{size: size, atime: s.clock}
-		s.total += size
-	}
 	s.install(sl)
 	if ref {
 		s.ref(sl)
@@ -506,7 +407,7 @@ func (s *Store) install(sl *Slab) {
 // inlines Slab.destroy minus the re-lock.
 func (s *Store) destroyLocked(victim *Slab) {
 	if victim.data != nil {
-		unmapFile(victim.data)
+		frame.Unmap(victim.data)
 		victim.data = nil
 	} else if victim.heap {
 		// putScratch touches only the pool; safe under mu.
@@ -516,10 +417,11 @@ func (s *Store) destroyLocked(victim *Slab) {
 	victim.destroyed = true
 }
 
-// persist writes the slab file atomically (temp + rename), remaps it so
-// the served records are the shared read-only file pages, and recycles the
-// conversion scratch. On any write failure it degrades to serving the heap
-// slab directly: the run proceeds, the failure is counted and warned.
+// persist publishes the slab file, streaming it through a pooled write
+// buffer, then remaps it so the served records are the shared read-only
+// file pages, and recycles the conversion scratch. On any write failure it
+// degrades to serving the heap slab directly: the run proceeds, the
+// failure is counted and warned.
 func (s *Store) persist(key Key, recs []champtrace.Instruction, conv core.Stats) *Slab {
 	heapSlab := func() *Slab {
 		return &Slab{store: s, key: key, conv: conv, recs: recs, heap: true}
@@ -529,76 +431,46 @@ func (s *Store) persist(key Key, recs []champtrace.Instruction, conv core.Stats)
 		return s.persistFailed(heapSlab, err)
 	}
 	h := header{count: len(recs), metaLen: len(meta), key: key}
-	path := s.EntryPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return s.persistFailed(heapSlab, err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-*")
-	if err != nil {
-		return s.persistFailed(heapSlab, err)
-	}
 	w, _ := s.bufw.Get().(*bufio.Writer)
 	if w == nil {
 		w = bufio.NewWriterSize(io.Discard, 1<<20)
 	}
-	w.Reset(tmp)
-	body := recordBytes(recs)
-	var crc uint32
-	writeErr := func() error {
+	size, evicted, err := s.dir.Publish(key, func(f io.Writer) error {
+		w.Reset(f)
+		body := recordBytes(recs)
 		if _, err := w.Write(encodeHeader(h)); err != nil {
 			return err
 		}
 		if _, err := w.Write(body); err != nil {
 			return err
 		}
-		crc = frame.Update(0, body)
 		if _, err := w.Write(meta); err != nil {
 			return err
 		}
-		crc = frame.Update(crc, meta)
+		crc := frame.Update(frame.Update(0, body), meta)
 		if _, err := w.Write(encodeFooter(crc)); err != nil {
 			return err
 		}
 		return w.Flush()
-	}()
+	})
 	w.Reset(io.Discard) // drop the file reference before pooling
 	s.bufw.Put(w)
-	if writeErr == nil {
-		writeErr = tmp.Close()
-	} else {
-		tmp.Close()
+	if err != nil {
+		return s.persistFailed(heapSlab, err)
 	}
-	if writeErr == nil {
-		writeErr = os.Rename(tmp.Name(), path)
-	}
-	if writeErr != nil {
-		os.Remove(tmp.Name())
-		return s.persistFailed(heapSlab, writeErr)
-	}
-
-	size := h.fileSize()
 	s.mu.Lock()
 	s.stats.BytesWritten += uint64(size)
-	if e, ok := s.disk[key]; ok {
-		s.total -= e.size
-	}
-	s.clock++
-	s.disk[key] = diskEntry{size: size, atime: s.clock}
-	s.total += size
-	evict := s.collectEvictions(key)
+	s.stats.Evictions += uint64(evicted)
 	s.mu.Unlock()
-	for _, k := range evict {
-		os.Remove(s.EntryPath(k))
-	}
 
 	// Serve the file mapping, not the heap copy, so the scratch returns to
 	// the pool and every consumer of this slab — including other processes
 	// — shares one set of page-cache pages.
-	f, err := os.Open(path)
+	f, _, err := s.dir.Open(key)
 	if err != nil {
 		return heapSlab() // evicted already?; serve from heap, no warning needed
 	}
-	data, err := mapFile(f, size)
+	data, err := frame.MapFile(f, size)
 	f.Close()
 	if err != nil {
 		return heapSlab()
@@ -623,35 +495,6 @@ func (s *Store) persistFailed(heapSlab func() *Slab, err error) *Slab {
 	s.stats.WriteErrors++
 	s.mu.Unlock()
 	return heapSlab()
-}
-
-// collectEvictions (mu held) trims the disk index to the size bound,
-// oldest first, sparing the just-written key, and returns the keys whose
-// files the caller must remove. Removing a file whose mapping is still
-// live is safe on unix: the pages outlive the directory entry.
-func (s *Store) collectEvictions(justWritten Key) []Key {
-	var out []Key
-	for s.total > s.maxBytes {
-		var victim Key
-		var victimAge int64
-		found := false
-		for k, e := range s.disk {
-			if k == justWritten {
-				continue
-			}
-			if !found || e.atime < victimAge {
-				victim, victimAge, found = k, e.atime, true
-			}
-		}
-		if !found {
-			break
-		}
-		s.total -= s.disk[victim].size
-		delete(s.disk, victim)
-		s.stats.Evictions++
-		out = append(out, victim)
-	}
-	return out
 }
 
 // Close drops every resident slab. Slabs still referenced stay mapped

@@ -458,6 +458,34 @@ func TestDiskLRUEviction(t *testing.T) {
 	}
 }
 
+// TestVanishedSlabUnindexed removes a slab file behind the store's back
+// (as another process's eviction would): the miss must also drop the slab
+// from the indexed footprint, so the ghost stops counting against the
+// budget.
+func TestVanishedSlabUnindexed(t *testing.T) {
+	dir := t.TempDir()
+	writer := mustOpen(t, Config{Dir: dir})
+	sl, err := writer.GetOrConvert(testKey(30), converterFor(100, 0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl.Release()
+
+	s := mustOpen(t, Config{Dir: dir})
+	if s.DiskBytes() == 0 {
+		t.Fatal("reopened store indexed nothing")
+	}
+	if err := os.Remove(s.EntryPath(testKey(30))); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(testKey(30)); ok {
+		t.Fatal("Get hit a removed slab file")
+	}
+	if got := s.DiskBytes(); got != 0 {
+		t.Fatalf("DiskBytes = %d after the vanished slab's miss, want 0", got)
+	}
+}
+
 func TestPrefetchWarmsResident(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(30)
