@@ -64,23 +64,20 @@ bench-cache:
 	rm -rf $$dir
 
 # Run the sweep service in the foreground on the default port with the
-# default cache dir. SIGINT/SIGTERM drains in-flight jobs and flushes the
-# memory tier before exiting. Point clients (or another daemon's -remote
-# tier) at http://127.0.0.1:8344.
+# default cache dir. Every job result is written through to disk before
+# the job reports done; SIGINT/SIGTERM drains in-flight jobs before
+# exiting. Point clients at http://127.0.0.1:8344.
 ADDR ?= 127.0.0.1:8344
 WORKERS ?= 1
 serve:
 	$(GO) run ./cmd/rebase serve -addr $(ADDR) -workers $(WORKERS)
 
-# Sweep-service latency benchmark: cold submit vs warm memory-tier repeat
-# vs remote-tier hit through a chained daemon, every response cmp'd
-# byte-identical against the batch CLI. Emits BENCH_9.json; the headline
-# is the warm p50 (must sit well under 10ms). See EXPERIMENTS.md
-# "Service latency benchmark workflow".
-EXP ?= all
-SERVE_REPEATS ?= 20
+# Sweep-service latency benchmark: the perfbench serve workload, a daemon
+# over a populated store answering each seeded job twice (disk, then
+# memory tier). Prints the op and hit latency percentiles. See
+# EXPERIMENTS.md "Service latency benchmark workflow".
 bench-serve:
-	scripts/bench_serve.sh $(EXP) $(STEP) $(SERVE_REPEATS)
+	bash perfbench/run.sh --workload serve --seed 1 --seconds 10 --trace 0
 
 # Experiment-store query benchmark: populate a fresh store with the full
 # -exp all matrix, then compare block-pruned queries against -full-scan

@@ -44,8 +44,8 @@
 //	rebase -cores 4 -coschedule thrash,rack -llc-policy shared-srrip -mem-bandwidth 4
 //
 // rebase serve runs the same engine as a long-lived daemon over a tiered
-// result cache (memory LRU -> disk -> optional remote peer daemon via
-// -remote), and rebase submit is its streaming client; submitted jobs
+// result cache (a memory LRU over the disk store, written through), and
+// rebase submit is its streaming client; submitted jobs
 // produce output byte-identical to the batch CLI, with repeat queries
 // answered from the memory tier:
 //
@@ -418,8 +418,8 @@ type benchRecord struct {
 	// Cache records result-cache activity: a cold run shows all misses, a
 	// warm run all hits.
 	Cache *resultcache.Stats `json:"cache,omitempty"`
-	// CacheTiers breaks the result-cache backend down per tier (memory,
-	// disk, remote) with hit/miss/latency/byte counters.
+	// CacheTiers breaks the result-cache backend down per tier (a single
+	// "disk" entry for the batch CLI) with hit/miss/latency/byte counters.
 	CacheTiers []resultcache.BackendStats `json:"cache_tiers,omitempty"`
 	// CheckpointCache records warmed-checkpoint reuse in sampled runs.
 	CheckpointCache *resultcache.Stats `json:"checkpoint_cache,omitempty"`

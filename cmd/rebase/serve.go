@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/url"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -20,8 +18,8 @@ import (
 )
 
 // runServe is the `rebase serve` subcommand: the long-running sweep
-// daemon over a tiered result-cache backend (memory LRU -> local disk ->
-// optional remote peer).
+// daemon over a tiered result-cache backend (memory LRU over local
+// disk).
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("rebase serve", flag.ExitOnError)
 	var (
@@ -30,7 +28,6 @@ func runServe(args []string) int {
 		parallel   = fs.Int("parallel", 0, "concurrent simulations per job (0 = NumCPU)")
 		cacheDir   = fs.String("cache-dir", "", "cache directory (default $TRACEREBASE_CACHE_DIR or the user cache dir)")
 		memBytes   = fs.Int64("mem-bytes", 0, "in-memory tier budget in bytes (0 = 256 MiB)")
-		remote     = fs.String("remote", "", "peer daemon to chain as the slowest cache tier, e.g. http://host:8344 (its /cache mount is used)")
 		noSlabs    = fs.Bool("no-trace-store", false, "disable the compiled-trace slab store")
 		noExpStore = fs.Bool("no-exp-store", false, "disable the columnar experiment store (and GET /query)")
 		quiet      = fs.Bool("q", false, "suppress operational log output")
@@ -51,28 +48,16 @@ func runServe(args []string) int {
 		}
 	}
 
-	// Tier composition, fastest first: memory LRU, local disk, optional
-	// remote peer. One backend serves both the per-cell result cache and
-	// the whole-job blob store (distinct key domains).
+	// Memory LRU over local disk, written through. One backend serves
+	// both the per-cell result cache and the whole-job blob store
+	// (distinct key domains).
 	disk, err := resultcache.NewDisk(resultcache.DiskConfig{Dir: dir})
 	if err != nil {
 		return fail("serve: %v", err)
 	}
-	tiers := []resultcache.Backend{resultcache.NewMemory(*memBytes), disk}
-	if *remote != "" {
-		base, err := remoteCacheURL(*remote)
-		if err != nil {
-			return fail("serve: %v", err)
-		}
-		r, err := resultcache.NewRemote(resultcache.RemoteConfig{BaseURL: base})
-		if err != nil {
-			return fail("serve: %v", err)
-		}
-		tiers = append(tiers, r)
-	}
-	backend := resultcache.NewTiered(tiers...)
+	backend := resultcache.NewTiered(resultcache.NewMemory(*memBytes), disk)
 	cache := experiments.NewResultCache(backend)
-	defer cache.Close() // flushes write-back and closes every tier
+	defer cache.Close() // closes both tiers
 
 	base := experiments.SweepConfig{
 		Parallelism: *parallel,
@@ -117,11 +102,11 @@ func runServe(args []string) int {
 	if err != nil {
 		return fail("serve: %v", err)
 	}
-	fmt.Fprintf(log, "rebase: serving on http://%s (workers=%d, cache=%s, tiers=%d)\n",
-		l.Addr(), *workers, dir, len(tiers))
+	fmt.Fprintf(log, "rebase: serving on http://%s (workers=%d, cache=%s)\n",
+		l.Addr(), *workers, dir)
 
 	// SIGINT/SIGTERM triggers the graceful path: stop accepting, finish
-	// in-flight jobs, flush the write-back queue, then exit.
+	// in-flight jobs, then exit.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)
@@ -142,18 +127,4 @@ func runServe(args []string) int {
 		}
 		return 0
 	}
-}
-
-// remoteCacheURL resolves a -remote flag value to the peer's /cache
-// mount: a bare daemon root gets "/cache" appended; an explicit path is
-// kept as given.
-func remoteCacheURL(raw string) (string, error) {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return "", fmt.Errorf("bad -remote URL %q: %v", raw, err)
-	}
-	if u.Path == "" || u.Path == "/" {
-		u.Path = "/cache"
-	}
-	return strings.TrimSuffix(u.String(), "/"), nil
 }

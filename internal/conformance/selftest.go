@@ -170,7 +170,7 @@ func SelfTest(cfg SelfTestConfig) error {
 		len(resultCacheProfiles)), func() error {
 		return CheckCacheTransparency(resultCacheProfiles, cfg.SimInstructions, cfg.Warmup)
 	})
-	r.run(fmt.Sprintf("cache tiers: off vs cold vs warm-memory vs warm-remote sweeps of %d traces byte-identical",
+	r.run(fmt.Sprintf("cache tiers: off vs cold vs warm-memory vs warm-disk sweeps of %d traces byte-identical",
 		len(resultCacheProfiles)), func() error {
 		return CheckTierTransparency(resultCacheProfiles, cfg.SimInstructions, cfg.Warmup)
 	})

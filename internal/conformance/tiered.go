@@ -3,8 +3,6 @@ package conformance
 import (
 	"bytes"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"reflect"
 
@@ -17,25 +15,21 @@ import (
 // backend: no tier composition may be visible in the output. It runs the
 // same sweep four ways — cache off, cold tiered (memory+disk), warm
 // memory tier (a fresh cache over the same backend, modelling a repeat
-// query against a live daemon), and warm remote tier (a second tiered
-// stack whose slowest tier is the first stack served over the HTTP wire
-// protocol, modelling two chained daemons) — and requires byte-identical
-// rendered output from all of them. It also asserts the tiers behaved as
-// claimed: both warm runs resolve every cell with zero compute-function
-// invocations (so no generation, conversion, or simulation happens), the
-// warm-memory run is answered by the memory tier, and the warm-remote run
-// pulls every cell across the wire and promotes it into its local tiers.
+// query against a live daemon), and warm disk tier (a brand-new
+// memory+disk stack over the same directory, modelling a daemon restart)
+// — and requires byte-identical rendered output from all of them. It also
+// asserts the tiers behaved as claimed: both warm runs resolve every cell
+// with zero compute-function invocations (so no generation, conversion,
+// or simulation happens), the warm-memory run is answered by the memory
+// tier, and the warm-disk run reads every cell from disk and promotes it
+// into its new memory tier. The warm-disk stack is opened before the
+// first stack is closed, so it passes only if Put wrote through to disk.
 func CheckTierTransparency(profiles []synth.Profile, instructions int, warmup uint64) error {
 	dirA, err := os.MkdirTemp("", "tracerebase-tiercheck-a-")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dirA)
-	dirB, err := os.MkdirTemp("", "tracerebase-tiercheck-b-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dirB)
 
 	baseCfg := experiments.SweepConfig{
 		Instructions: instructions,
@@ -110,47 +104,36 @@ func CheckTierTransparency(profiles []synth.Profile, instructions int, warmup ui
 		return fmt.Errorf("warm-memory run: memory tier answered %d of %d lookups", d, jobs)
 	}
 
-	// Warm remote tier: stack A exported over the wire protocol becomes
-	// the slowest tier of a brand-new stack B — two chained daemons. Every
-	// cell must arrive over HTTP, recompute nothing, and be promoted into
-	// B's local tiers.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: resultcache.NewHTTPHandler(backendA)}
-	go hs.Serve(l)
-	defer hs.Close()
-	remote, err := resultcache.NewRemote(resultcache.RemoteConfig{BaseURL: "http://" + l.Addr().String(), Retries: -1})
+	// Warm disk tier: a fresh memory tier over a fresh disk backend on
+	// dirA, built while stack A is still open and unflushed — a restarted
+	// daemon. Every cell must come from disk, recompute nothing, and be
+	// promoted into the new memory tier.
+	diskB, err := resultcache.NewDisk(resultcache.DiskConfig{Dir: dirA})
 	if err != nil {
 		return err
 	}
 	memB := resultcache.NewMemory(0)
-	diskB, err := resultcache.NewDisk(resultcache.DiskConfig{Dir: dirB})
-	if err != nil {
-		return err
-	}
-	backendB := resultcache.NewTiered(memB, diskB, remote)
+	backendB := resultcache.NewTiered(memB, diskB)
 	defer backendB.Close()
-	warmRemote := experiments.NewResultCache(backendB)
-	warmRemoteOut, warmRemoteRes, err := sweep(warmRemote)
+	warmDisk := experiments.NewResultCache(backendB)
+	warmDiskOut, warmDiskRes, err := sweep(warmDisk)
 	if err != nil {
-		return fmt.Errorf("warm-remote sweep: %w", err)
+		return fmt.Errorf("warm-disk sweep: %w", err)
 	}
-	if !bytes.Equal(warmRemoteOut, want) {
-		return fmt.Errorf("warm-remote sweep output differs from uncached output")
+	if !bytes.Equal(warmDiskOut, want) {
+		return fmt.Errorf("warm-disk sweep output differs from uncached output")
 	}
-	if !reflect.DeepEqual(warmRemoteRes, wantRes) {
-		return fmt.Errorf("warm-remote sweep results differ structurally from uncached results")
+	if !reflect.DeepEqual(warmDiskRes, wantRes) {
+		return fmt.Errorf("warm-disk sweep results differ structurally from uncached results")
 	}
-	if s := warmRemote.Stats(); s.Computes != 0 || s.DiskHits != jobs {
-		return fmt.Errorf("warm-remote run: %d computes, %d backend hits, want 0 and %d", s.Computes, s.DiskHits, jobs)
+	if s := warmDisk.Stats(); s.Computes != 0 || s.DiskHits != jobs {
+		return fmt.Errorf("warm-disk run: %d computes, %d backend hits, want 0 and %d", s.Computes, s.DiskHits, jobs)
 	}
-	if s := remote.Stat(); s.Hits != jobs {
-		return fmt.Errorf("warm-remote run: remote tier served %d of %d cells", s.Hits, jobs)
+	if s := diskB.Stat(); s.Hits != jobs {
+		return fmt.Errorf("warm-disk run: disk tier served %d of %d cells", s.Hits, jobs)
 	}
 	if s := memB.Stat(); s.Puts != jobs {
-		return fmt.Errorf("warm-remote run: %d of %d cells promoted into the local memory tier", s.Puts, jobs)
+		return fmt.Errorf("warm-disk run: %d of %d cells promoted into the new memory tier", s.Puts, jobs)
 	}
 	return nil
 }

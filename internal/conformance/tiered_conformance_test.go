@@ -7,7 +7,7 @@ import (
 )
 
 // TestTierTransparency runs the tiered-backend differential oracle at test
-// scale: cache-off, cold tiered, warm-memory, and warm-remote sweeps of
+// scale: cache-off, cold tiered, warm-memory, and warm-disk sweeps of
 // the same traces must render byte-identically, with both warm runs
 // resolving every cell without a single compute-function invocation.
 // (The -selftest path runs the same oracle at larger scale.)

@@ -51,8 +51,8 @@ func OpenResultCache(dir string, maxBytes int64) (*ResultCache, error) {
 }
 
 // NewResultCache builds a result cache over an already-composed backend
-// (e.g. a memory/disk/remote Tiered stack for the serve daemon). The
-// cache owns the backend: Close flushes and closes it.
+// (e.g. the serve daemon's memory-over-disk Tiered pair). The cache owns
+// the backend: Close closes it.
 func NewResultCache(b resultcache.Backend) *ResultCache {
 	return resultcache.New[Result](b, resultcache.GobCodec[Result]{})
 }

@@ -12,29 +12,29 @@ import (
 var ErrNotFound = errors.New("resultcache: not found")
 
 // Backend is one tier of content-addressed byte storage: a bounded
-// in-memory LRU, the sharded on-disk store, a remote HTTP peer, or a
-// Tiered composition of them. Keys are opaque content addresses; payloads
-// are opaque bytes owned by the backend after Put and read-only after Get.
-// All methods are safe for concurrent use.
+// in-memory LRU, the sharded on-disk store, or a Tiered pair of them.
+// Keys are opaque content addresses; payloads are opaque bytes owned by
+// the backend after Put and read-only after Get. All methods are safe for
+// concurrent use.
 type Backend interface {
 	// Name identifies the tier in stats and status output ("memory",
-	// "disk", "remote", "tiered").
+	// "disk", "tiered").
 	Name() string
 	// Get returns the payload stored under key, or an error wrapping
 	// ErrNotFound when no valid entry exists. Backends that can detect
-	// corruption (disk framing, remote transport) discard damaged entries
-	// and report them as misses, never serve them.
+	// corruption (disk framing) discard damaged entries and report them
+	// as misses, never serve them.
 	Get(key Key) ([]byte, error)
 	// Put stores payload under key. Implementations count failures in
-	// their stats as well as returning them, so a Tiered write-back can
-	// drop the error while the failure stays observable.
+	// their stats as well as returning them, so a failure stays
+	// attributable to the tier that failed when a Tiered pair returns it.
 	Put(key Key, payload []byte) error
 	// Delete removes the entry for key, if present. Absence is not an
 	// error.
 	Delete(key Key) error
 	// Stat returns a snapshot of the tier's activity counters.
 	Stat() BackendStats
-	// Close releases tier resources (flushing any buffered writes).
+	// Close releases tier resources.
 	Close() error
 }
 
@@ -58,8 +58,7 @@ type BackendStats struct {
 	Evictions   uint64 `json:"evictions"`
 	WriteErrors uint64 `json:"write_errors"`
 	// BytesRead and BytesWritten count payload-carrying bytes moved
-	// through the tier (records for disk and remote, raw payloads for
-	// memory).
+	// through the tier (records for disk, raw payloads for memory).
 	BytesRead    uint64 `json:"bytes_read"`
 	BytesWritten uint64 `json:"bytes_written"`
 	// GetNanos and PutNanos accumulate wall-clock op latency.

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
@@ -65,6 +63,9 @@ func TestMemoryOversizedEntryRejected(t *testing.T) {
 	m.Put(bkey("small"), []byte("x"))
 	if err := m.Put(bkey("huge"), bytes.Repeat([]byte{9}, 100)); err != nil {
 		t.Fatalf("oversized Put should be a quiet no-op, got %v", err)
+	}
+	if s := m.Stat(); s.Puts != 1 || s.BytesWritten != 1 {
+		t.Fatalf("stats after rejected Put = %d puts, %d bytes written, want 1 and 1", s.Puts, s.BytesWritten)
 	}
 	if _, err := m.Get(bkey("huge")); !errors.Is(err, ErrNotFound) {
 		t.Fatal("oversized entry must not be stored")
@@ -152,150 +153,5 @@ func TestDiskVanishedEntryUnindexed(t *testing.T) {
 	}
 	if s := d.Stat(); s.Evictions != 0 {
 		t.Fatalf("Evictions = %d, want 0", s.Evictions)
-	}
-}
-
-func TestRemoteRoundTripAndValidation(t *testing.T) {
-	disk, err := NewDisk(DiskConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewHTTPHandler(disk))
-	defer srv.Close()
-
-	r, err := NewRemote(RemoteConfig{BaseURL: srv.URL, Retries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, want := bkey("remote"), []byte("over the wire")
-	if err := r.Put(key, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Get(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("Get = %q, want %q", got, want)
-	}
-	// The server stored through its disk tier.
-	if _, err := disk.Get(key); err != nil {
-		t.Fatalf("server-side disk should hold the entry: %v", err)
-	}
-	if _, err := r.Get(bkey("absent")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing key: err=%v, want ErrNotFound", err)
-	}
-	if err := r.Delete(key); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Get(key); !errors.Is(err, ErrNotFound) {
-		t.Fatal("entry should be gone after Delete")
-	}
-	s := r.Stat()
-	if s.Hits != 1 || s.Misses != 2 || s.Puts != 1 || s.Deletes != 1 {
-		t.Fatalf("remote stats = %+v", s)
-	}
-}
-
-func TestRemoteCorruptResponseIsMiss(t *testing.T) {
-	// A server returning garbage instead of a framed record must read as a
-	// corrupt miss, never as data.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Write([]byte("not a TRRC record"))
-	}))
-	defer srv.Close()
-
-	r, err := NewRemote(RemoteConfig{BaseURL: srv.URL, Retries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Get(bkey("x")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("corrupt response: err=%v, want ErrNotFound", err)
-	}
-	if s := r.Stat(); s.Corrupt != 1 {
-		t.Fatalf("Corrupt = %d, want 1", s.Corrupt)
-	}
-}
-
-func TestRemoteWrongKeyResponseIsMiss(t *testing.T) {
-	// A response framed for a different key (misrouted proxy, bad server)
-	// must be rejected by the embedded-key check.
-	wrong := bkey("wrong")
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Write(encodeRecord(wrong, []byte("payload")))
-	}))
-	defer srv.Close()
-
-	r, err := NewRemote(RemoteConfig{BaseURL: srv.URL, Retries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Get(bkey("right")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("wrong-key response: err=%v, want ErrNotFound", err)
-	}
-}
-
-func TestRemoteRetriesServerErrors(t *testing.T) {
-	var calls int
-	disk, err := NewDisk(DiskConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, want := bkey("flaky"), []byte("eventually")
-	if err := disk.Put(key, want); err != nil {
-		t.Fatal(err)
-	}
-	inner := NewHTTPHandler(disk)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		calls++
-		if calls <= 2 {
-			http.Error(w, "transient", http.StatusInternalServerError)
-			return
-		}
-		inner.ServeHTTP(w, req)
-	}))
-	defer srv.Close()
-
-	r, err := NewRemote(RemoteConfig{BaseURL: srv.URL, Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Get(key)
-	if err != nil {
-		t.Fatalf("Get should succeed on third attempt: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("Get = %q, want %q", got, want)
-	}
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-}
-
-func TestHTTPHandlerRejectsBadRequests(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPHandler(NewMemory(0)))
-	defer srv.Close()
-
-	for _, tc := range []struct {
-		method, path string
-		body         []byte
-		wantStatus   int
-	}{
-		{http.MethodGet, "/zzzz", nil, http.StatusBadRequest},                             // unparseable key
-		{http.MethodPut, "/" + bkey("k").String(), []byte("junk"), http.StatusBadRequest}, // unframed body
-		{http.MethodPost, "/" + bkey("k").String(), nil, http.StatusMethodNotAllowed},
-	} {
-		req, err := http.NewRequest(tc.method, srv.URL+tc.path, bytes.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.wantStatus {
-			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
-		}
 	}
 }

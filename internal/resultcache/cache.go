@@ -106,7 +106,7 @@ type Cache[T any] struct {
 
 // Open opens (creating if needed) a disk-backed cache rooted at cfg.Dir —
 // the classic batch-CLI configuration. See New to compose the cache over
-// other backends (memory LRU, remote, tiered).
+// other backends (memory LRU, tiered).
 func Open[T any](cfg Config, codec Codec[T]) (*Cache[T], error) {
 	disk, err := NewDisk(DiskConfig{Dir: cfg.Dir, MaxBytes: cfg.MaxBytes})
 	if err != nil {
@@ -179,7 +179,7 @@ func (c *Cache[T]) DiskBytes() int64 {
 	return 0
 }
 
-// Close flushes and closes the backend.
+// Close closes the backend.
 func (c *Cache[T]) Close() error { return c.backend.Close() }
 
 // Get returns the cached value for key if it is resident in memory or

@@ -87,14 +87,14 @@ func (m *Memory) Get(key Key) ([]byte, error) {
 }
 
 // Put implements Backend. An entry larger than the whole budget is
-// rejected quietly (stored nowhere) rather than wiping the tier to make
-// room for it.
+// rejected quietly (stored nowhere, counted nowhere) rather than wiping
+// the tier to make room for it.
 func (m *Memory) Put(key Key, payload []byte) error {
-	start := time.Now()
-	defer func() { m.metrics.observePut(start, nil, len(payload)) }()
 	if int64(len(payload)) > m.maxBytes {
 		return nil
 	}
+	start := time.Now()
+	defer func() { m.metrics.observePut(start, nil, len(payload)) }()
 	var evicted uint64
 	m.mu.Lock()
 	if el, ok := m.byKey[key]; ok {

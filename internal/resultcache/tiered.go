@@ -2,100 +2,30 @@ package resultcache
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
-// writeBackQueue bounds the number of write-back operations in flight
-// before Put starts blocking; the bound keeps a burst of large results
-// from accumulating without limit between the fast tier and the slow
-// ones.
-const writeBackQueue = 64
-
-// Tiered composes backends fastest-first into one Backend: Get reads
-// through the tiers in order and promotes a hit into every faster tier;
-// Put writes the fastest tier synchronously and the rest asynchronously
-// through a single write-back flusher. Flush (and Close) waits until the
-// flusher has drained, so a daemon shutting down can guarantee every
-// memory-tier entry reached disk.
+// Tiered composes a fast tier over a slow one into one Backend: Get reads
+// through and promotes a slow-tier hit into the fast tier; Put writes
+// through to both tiers synchronously, so once Put returns the slow tier
+// holds the entry.
 type Tiered struct {
-	tiers []Backend
+	fast, slow Backend
 
 	metrics tierMetrics
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   chan writeBack
-	pending int
-	closed  bool
 }
 
-type writeBack struct {
-	key     Key
-	payload []byte
-	from    int // index of the tier the payload is already in; write tiers after it
-}
-
-// NewTiered composes tiers (fastest first) into a single backend. It
-// panics on an empty tier list — a Tiered with nothing behind it is a
-// construction bug, not a runtime condition.
-func NewTiered(tiers ...Backend) *Tiered {
-	if len(tiers) == 0 {
-		panic("resultcache: NewTiered with no tiers")
-	}
-	t := &Tiered{
-		tiers: tiers,
-		queue: make(chan writeBack, writeBackQueue),
-	}
-	t.cond = sync.NewCond(&t.mu)
-	go t.flusher()
-	return t
-}
-
-// flusher is the single goroutine applying queued write-backs to the
-// slower tiers in submission order.
-func (t *Tiered) flusher() {
-	for wb := range t.queue {
-		for i := wb.from + 1; i < len(t.tiers); i++ {
-			// Put errors are counted by the failing tier's own stats; a slow
-			// tier failing must not lose the write to the tiers between.
-			t.tiers[i].Put(wb.key, wb.payload)
-		}
-		t.mu.Lock()
-		t.pending--
-		if t.pending == 0 {
-			t.cond.Broadcast()
-		}
-		t.mu.Unlock()
-	}
-}
-
-// enqueue schedules payload to be written to every tier after from.
-// It blocks when the queue is full (bounded write-back) and degrades to
-// a synchronous write once the Tiered is closed.
-func (t *Tiered) enqueue(key Key, payload []byte, from int) {
-	if from+1 >= len(t.tiers) {
-		return
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		for i := from + 1; i < len(t.tiers); i++ {
-			t.tiers[i].Put(key, payload)
-		}
-		return
-	}
-	t.pending++
-	t.mu.Unlock()
-	t.queue <- writeBack{key: key, payload: payload, from: from}
+// NewTiered composes fast (typically a Memory) over slow (typically a
+// Disk).
+func NewTiered(fast, slow Backend) *Tiered {
+	return &Tiered{fast: fast, slow: slow}
 }
 
 // Name implements Backend.
 func (t *Tiered) Name() string { return "tiered" }
 
-// Get implements Backend: read-through with promotion. A hit in tier i is
-// synchronously copied into tiers 0..i-1 so the next identical query is
-// served by the fastest tier.
+// Get implements Backend: read-through with promotion, so the next
+// identical query is served by the fast tier.
 func (t *Tiered) Get(key Key) ([]byte, error) {
 	payload, _, err := t.GetWithSource(key)
 	return payload, err
@@ -106,120 +36,87 @@ func (t *Tiered) Get(key Key) ([]byte, error) {
 // which tier answered.
 func (t *Tiered) GetWithSource(key Key) ([]byte, string, error) {
 	start := time.Now()
-	for i, tier := range t.tiers {
-		payload, err := tier.Get(key)
-		if err != nil {
-			continue
+	tier := t.fast
+	payload, err := tier.Get(key)
+	if err != nil {
+		tier = t.slow
+		if payload, err = tier.Get(key); err == nil {
+			t.fast.Put(key, payload)
 		}
-		// Promote into every faster tier, fastest last, so a concurrent
-		// reader finds the slower tiers populated first.
-		for j := i - 1; j >= 0; j-- {
-			t.tiers[j].Put(key, payload)
-		}
-		t.metrics.observeGet(start, true, len(payload))
-		return payload, tier.Name(), nil
 	}
-	t.metrics.observeGet(start, false, 0)
-	return nil, "", fmt.Errorf("%w: %s", ErrNotFound, key)
+	if err != nil {
+		t.metrics.observeGet(start, false, 0)
+		return nil, "", fmt.Errorf("%w: %s", ErrNotFound, key)
+	}
+	t.metrics.observeGet(start, true, len(payload))
+	return payload, tier.Name(), nil
 }
 
-// Put implements Backend: the fastest tier is written synchronously (so
-// an immediate re-read hits), the slower tiers via the write-back
-// flusher. The synchronous tier's error is returned; write-back failures
-// surface only in the failing tier's stats.
+// Put implements Backend: write-through to the fast tier, then the slow
+// one, returning the first error. Both tiers are attempted, and each
+// counts its own failures.
 func (t *Tiered) Put(key Key, payload []byte) error {
 	start := time.Now()
-	err := t.tiers[0].Put(key, payload)
+	err := t.fast.Put(key, payload)
+	if serr := t.slow.Put(key, payload); err == nil {
+		err = serr
+	}
 	t.metrics.observePut(start, err, len(payload))
-	t.enqueue(key, payload, 0)
 	return err
 }
 
-// Delete implements Backend: the key is removed from every tier; the
-// first error wins but all tiers are attempted.
+// Delete implements Backend: the key is removed from both tiers; the
+// first error wins but both are attempted.
 func (t *Tiered) Delete(key Key) error {
 	t.metrics.observeDelete()
-	var first error
-	for _, tier := range t.tiers {
-		if err := tier.Delete(key); err != nil && first == nil {
-			first = err
-		}
+	err := t.fast.Delete(key)
+	if serr := t.slow.Delete(key); err == nil {
+		err = serr
 	}
-	return first
+	return err
 }
 
 // Stat implements Backend with the composition's own counters; Tiers
 // exposes the per-tier breakdown.
 func (t *Tiered) Stat() BackendStats { return t.metrics.snapshot(t.Name()) }
 
-// Tiers returns the per-tier counter snapshots, fastest first.
+// Tiers returns the per-tier counter snapshots, fast tier first.
 func (t *Tiered) Tiers() []BackendStats {
-	out := make([]BackendStats, len(t.tiers))
-	for i, tier := range t.tiers {
-		out[i] = tier.Stat()
-	}
-	return out
+	return []BackendStats{t.fast.Stat(), t.slow.Stat()}
 }
 
-// Flush blocks until every queued write-back has been applied to the
-// slower tiers. After Flush returns (with no concurrent Puts), the slow
-// tiers hold everything the fast tier does.
-func (t *Tiered) Flush() {
-	t.mu.Lock()
-	for t.pending > 0 {
-		t.cond.Wait()
-	}
-	t.mu.Unlock()
-}
-
-// Close implements Backend: it drains the write-back queue, stops the
-// flusher, and closes every tier. Puts arriving after Close write all
-// tiers synchronously.
+// Close implements Backend: it closes both tiers, returning the first
+// error.
 func (t *Tiered) Close() error {
-	t.Flush()
-	t.mu.Lock()
-	alreadyClosed := t.closed
-	t.closed = true
-	t.mu.Unlock()
-	if !alreadyClosed {
-		close(t.queue)
+	err := t.fast.Close()
+	if serr := t.slow.Close(); err == nil {
+		err = serr
 	}
-	var first error
-	for _, tier := range t.tiers {
-		if err := tier.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return err
 }
 
-// EntryPath delegates to the first tier that knows file paths (the disk
+// EntryPath delegates to the slow tier when it knows file paths (the disk
 // tier), so Cache.EntryPath keeps working over a Tiered backend.
 func (t *Tiered) EntryPath(key Key) string {
-	for _, tier := range t.tiers {
-		if p, ok := tier.(entryPather); ok {
-			return p.EntryPath(key)
-		}
+	if p, ok := t.slow.(entryPather); ok {
+		return p.EntryPath(key)
 	}
 	return ""
 }
 
-// Dir delegates to the first directory-rooted tier.
+// Dir delegates to the slow tier when it is directory-rooted.
 func (t *Tiered) Dir() string {
-	for _, tier := range t.tiers {
-		if p, ok := tier.(dirBackend); ok {
-			return p.Dir()
-		}
+	if p, ok := t.slow.(dirBackend); ok {
+		return p.Dir()
 	}
 	return ""
 }
 
-// DiskBytes delegates to the first tier with a persistent footprint.
+// DiskBytes delegates to the slow tier when it has a persistent
+// footprint.
 func (t *Tiered) DiskBytes() int64 {
-	for _, tier := range t.tiers {
-		if p, ok := tier.(sizedBackend); ok {
-			return p.DiskBytes()
-		}
+	if p, ok := t.slow.(sizedBackend); ok {
+		return p.DiskBytes()
 	}
 	return 0
 }

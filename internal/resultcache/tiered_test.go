@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -40,7 +41,7 @@ func TestTieredReadThroughPromotion(t *testing.T) {
 	}
 }
 
-func TestTieredWriteBackAndFlush(t *testing.T) {
+func TestTieredPutWritesThrough(t *testing.T) {
 	mem := NewMemory(0)
 	disk, err := NewDisk(DiskConfig{Dir: t.TempDir()})
 	if err != nil {
@@ -49,76 +50,44 @@ func TestTieredWriteBackAndFlush(t *testing.T) {
 	tiered := NewTiered(mem, disk)
 	defer tiered.Close()
 
-	key, want := bkey("writeback"), []byte("durable")
+	key, want := bkey("writethrough"), []byte("durable")
 	if err := tiered.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
-	// The fast tier is written synchronously.
+	// Both tiers hold the entry as soon as Put returns: no Close, no flush.
 	if _, err := mem.Get(key); err != nil {
-		t.Fatal("memory tier must be written synchronously")
+		t.Fatalf("memory tier after Put: %v", err)
 	}
-	// After Flush the slow tier must hold the entry too.
-	tiered.Flush()
 	got, err := disk.Get(key)
 	if err != nil {
-		t.Fatalf("disk tier after Flush: %v", err)
+		t.Fatalf("disk tier after Put: %v", err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("disk payload = %q, want %q", got, want)
 	}
-}
 
-func TestTieredCloseDrainsPendingWrites(t *testing.T) {
-	mem := NewMemory(0)
-	dir := t.TempDir()
-	disk, err := NewDisk(DiskConfig{Dir: dir})
+	// A failing slow tier surfaces its error and counts it itself. The
+	// disk root replaced by a regular file makes every publish fail.
+	brokenDir := filepath.Join(t.TempDir(), "cache")
+	broken, err := NewDisk(DiskConfig{Dir: brokenDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := NewTiered(mem, disk)
-
-	var keys []Key
-	for i := 0; i < 50; i++ {
-		k := bkey(fmt.Sprintf("drain-%d", i))
-		keys = append(keys, k)
-		if err := tiered.Put(k, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tiered.Close(); err != nil {
+	if err := os.RemoveAll(brokenDir); err != nil {
 		t.Fatal(err)
 	}
-	// Everything written before Close must be durable: a fresh disk backend
-	// over the same directory sees all 50 entries.
-	reopened, err := NewDisk(DiskConfig{Dir: dir})
-	if err != nil {
+	if err := os.WriteFile(brokenDir, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range keys {
-		if _, err := reopened.Get(k); err != nil {
-			t.Fatalf("entry %s lost across Close: %v", k, err)
-		}
+	failing := NewTiered(NewMemory(0), broken)
+	if err := failing.Put(key, want); err == nil {
+		t.Fatal("Put over a failing slow tier returned nil")
 	}
-}
-
-func TestTieredPutAfterCloseIsSynchronous(t *testing.T) {
-	mem := NewMemory(0)
-	disk, err := NewDisk(DiskConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	if s := broken.Stat(); s.WriteErrors != 1 {
+		t.Fatalf("slow tier WriteErrors = %d, want 1", s.WriteErrors)
 	}
-	tiered := NewTiered(mem, disk)
-	if err := tiered.Close(); err != nil {
-		t.Fatal(err)
-	}
-	key, want := bkey("late"), []byte("after close")
-	if err := tiered.Put(key, want); err != nil {
-		t.Fatal(err)
-	}
-	// With the flusher gone the slow tier must still have been written,
-	// synchronously, with no Flush needed.
-	if _, err := disk.Get(key); err != nil {
-		t.Fatalf("disk tier after post-Close Put: %v", err)
+	if s := failing.Stat(); s.WriteErrors != 1 {
+		t.Fatalf("tiered WriteErrors = %d, want 1", s.WriteErrors)
 	}
 }
 
@@ -140,59 +109,6 @@ func TestTieredMissReadsAllTiers(t *testing.T) {
 	}
 	if tiers[0].Misses != 1 || tiers[1].Misses != 1 {
 		t.Fatalf("both tiers should record the miss: %+v", tiers)
-	}
-}
-
-func TestTieredWithRemoteTier(t *testing.T) {
-	// Daemon A's store, exported over HTTP.
-	remoteDisk, err := NewDisk(DiskConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewHTTPHandler(remoteDisk))
-	defer srv.Close()
-
-	// Daemon B: memory -> local disk -> daemon A.
-	remote, err := NewRemote(RemoteConfig{BaseURL: srv.URL, Retries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	localDisk, err := NewDisk(DiskConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := NewMemory(0)
-	tiered := NewTiered(mem, localDisk, remote)
-	defer tiered.Close()
-
-	key, want := bkey("shared"), []byte("computed on daemon A")
-	// A computed the result; B has never seen it.
-	if err := remoteDisk.Put(key, want); err != nil {
-		t.Fatal(err)
-	}
-
-	got, src, err := tiered.GetWithSource(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) || src != "remote" {
-		t.Fatalf("read = %q from %q, want %q from remote", got, src, want)
-	}
-	// Promotion: both faster tiers now hold the entry locally.
-	if _, err := mem.Get(key); err != nil {
-		t.Fatal("memory tier should hold the promoted entry")
-	}
-	if _, err := localDisk.Get(key); err != nil {
-		t.Fatal("local disk tier should hold the promoted entry")
-	}
-	// And a write on B reaches A via write-back.
-	key2, want2 := bkey("shared-2"), []byte("computed on daemon B")
-	if err := tiered.Put(key2, want2); err != nil {
-		t.Fatal(err)
-	}
-	tiered.Flush()
-	if got2, err := remoteDisk.Get(key2); err != nil || !bytes.Equal(got2, want2) {
-		t.Fatalf("daemon A should hold B's write-back: %q, %v", got2, err)
 	}
 }
 
@@ -265,7 +181,6 @@ func TestCacheStatsSumTierCounters(t *testing.T) {
 	if s.Evictions == 0 {
 		t.Fatalf("Stats should surface memory-tier evictions, got %+v", s)
 	}
-	c.Backend().(*Tiered).Flush() // write-back is async; settle before counting
 	tiers := c.TierStats()
 	if len(tiers) != 2 {
 		t.Fatalf("TierStats len = %d, want 2", len(tiers))

@@ -22,8 +22,8 @@ type Event struct {
 	Total int `json:"total,omitempty"`
 	// Text is a fragment of the rendered output (on chunk).
 	Text string `json:"text,omitempty"`
-	// Served names what resolved the job: a tier name (memory, disk,
-	// remote) for a cache hit, "computed" for a fresh run, "shared" for a
+	// Served names what resolved the job: a tier name (memory or disk)
+	// for a cache hit, "computed" for a fresh run, "shared" for a
 	// single-flight join (on done).
 	Served string `json:"served,omitempty"`
 	// ElapsedSeconds is the server-side wall clock of the job (on done).

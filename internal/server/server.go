@@ -1,10 +1,10 @@
 // Package server is the sweep service: a long-running daemon that
 // accepts sweep/table/ablation jobs over HTTP, runs them on a bounded
 // worker pool through the same internal/report composition as the batch
-// CLI, and caches whole job outputs in a tiered resultcache backend so
-// repeat queries — from any client, against any daemon in a chain — are
-// served from the fastest tier that holds them, byte-identical to a cold
-// batch run.
+// CLI, and caches whole job outputs in a memory-over-disk resultcache
+// backend so repeat queries — from any client, across daemon restarts —
+// are served from the fastest tier that holds them, byte-identical to a
+// cold batch run.
 package server
 
 import (
@@ -61,6 +61,16 @@ type Server struct {
 	jobsFailed    atomic.Uint64
 }
 
+// Connection timeouts of the server New builds. A client gets
+// readHeaderTimeout to send its request headers, and an idle keep-alive
+// connection is closed after idleTimeout. There is deliberately no write
+// timeout: a job's NDJSON stream stays open for as long as the job runs,
+// often minutes.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // New builds a Server over cfg.
 func New(cfg Config) *Server {
 	workers := cfg.Workers
@@ -71,7 +81,7 @@ func New(cfg Config) *Server {
 	if log == nil {
 		log = io.Discard
 	}
-	return &Server{
+	s := &Server{
 		backend: cfg.Backend,
 		base:    cfg.Base,
 		sem:     make(chan struct{}, workers),
@@ -79,6 +89,12 @@ func New(cfg Config) *Server {
 		start:   time.Now(),
 		running: make(map[string]*job),
 	}
+	s.httpSrv = &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	return s
 }
 
 // Handler returns the daemon's HTTP surface:
@@ -88,8 +104,6 @@ func New(cfg Config) *Server {
 //	GET  /query   execute ?q=<query string> against the experiment store,
 //	              return the result as JSON (503 when no store is wired)
 //	GET  /healthz liveness probe
-//	     /cache/  the resultcache wire protocol over the daemon's backend
-//	              (point another daemon's -remote tier here)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/jobs", s.handleJobs)
@@ -98,13 +112,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
-	mux.Handle("/cache/", http.StripPrefix("/cache", resultcache.NewHTTPHandler(s.backend)))
 	return mux
 }
 
-// Serve accepts connections on l until Shutdown.
+// Serve accepts connections on l until Shutdown; after Shutdown it
+// returns at once.
 func (s *Server) Serve(l net.Listener) error {
-	s.httpSrv = &http.Server{Handler: s.Handler()}
 	err := s.httpSrv.Serve(l)
 	if err == http.ErrServerClosed {
 		return nil
@@ -113,18 +126,12 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Shutdown is the graceful exit: stop accepting connections, let
-// in-flight streams finish, drain the worker pool, then flush the
-// write-back queue so every memory-tier entry is durable in the slower
-// tiers before the process exits.
+// in-flight streams finish, and drain the worker pool. Job blobs are
+// written through to disk before their done event, so once the pool is
+// drained every result is durable.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var err error
-	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
-	}
+	err := s.httpSrv.Shutdown(ctx)
 	s.jobs.Wait()
-	if t, ok := s.backend.(*resultcache.Tiered); ok {
-		t.Flush()
-	}
 	return err
 }
 

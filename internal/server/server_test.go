@@ -22,14 +22,13 @@ func smokeSpec() JobSpec {
 
 // newTestServer builds a daemon over a fresh memory+disk tiered backend
 // rooted in a temp dir.
-func newTestServer(t *testing.T, extra ...resultcache.Backend) (*Server, *resultcache.Tiered, *resultcache.Disk) {
+func newTestServer(t *testing.T) (*Server, *resultcache.Tiered, *resultcache.Disk) {
 	t.Helper()
 	disk, err := resultcache.NewDisk(resultcache.DiskConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiers := append([]resultcache.Backend{resultcache.NewMemory(0), disk}, extra...)
-	backend := resultcache.NewTiered(tiers...)
+	backend := resultcache.NewTiered(resultcache.NewMemory(0), disk)
 	cache := experiments.NewResultCache(backend)
 	t.Cleanup(func() { cache.Close() })
 	srv := New(Config{
@@ -122,7 +121,7 @@ func TestConcurrentIdenticalSubmissionsComputeOnce(t *testing.T) {
 	}
 }
 
-func TestGracefulShutdownFlushesMemoryTierToDisk(t *testing.T) {
+func TestJobBlobOnDiskWhenDone(t *testing.T) {
 	srv, _, disk := newTestServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	client := &Client{BaseURL: ts.URL}
@@ -132,66 +131,18 @@ func TestGracefulShutdownFlushesMemoryTierToDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts.Close()
-
-	// Shutdown must drain the worker pool and flush every write-back-
-	// pending entry, so the job blob is durable on disk afterwards.
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	// The blob is written through to disk before the done event is
+	// streamed, so it is durable before any shutdown.
 	payload, err := disk.Get(spec.Key())
 	if err != nil {
-		t.Fatalf("job blob not on disk after graceful shutdown: %v", err)
+		t.Fatalf("job blob not on disk when done was streamed: %v", err)
 	}
 	if !bytes.Equal(payload, res.Output) {
 		t.Fatal("disk blob differs from streamed output")
 	}
-}
-
-func TestChainedDaemonsShareWarmResults(t *testing.T) {
-	// Daemon A computes; daemon B chains A as its remote tier and must
-	// serve the same job without computing anything itself.
-	srvA, _, _ := newTestServer(t)
-	tsA := httptest.NewServer(srvA.Handler())
-	defer tsA.Close()
-
-	spec := smokeSpec()
-	resA, err := (&Client{BaseURL: tsA.URL}).Submit(spec)
-	if err != nil {
+	ts.Close()
+	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-	if resA.Served != "computed" {
-		t.Fatalf("daemon A served=%q, want computed", resA.Served)
-	}
-
-	remote, err := resultcache.NewRemote(resultcache.RemoteConfig{BaseURL: tsA.URL + "/cache", Retries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB, _, _ := newTestServer(t, remote)
-	tsB := httptest.NewServer(srvB.Handler())
-	defer tsB.Close()
-
-	resB, err := (&Client{BaseURL: tsB.URL}).Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resB.Served != "remote" {
-		t.Fatalf("daemon B served=%q, want remote", resB.Served)
-	}
-	if !bytes.Equal(resA.Output, resB.Output) {
-		t.Fatal("chained daemons returned different bytes")
-	}
-	if st := srvB.StatusSnapshot(); st.JobsComputed != 0 {
-		t.Fatalf("daemon B computed %d jobs, want 0", st.JobsComputed)
-	}
-	// After promotion, a repeat against B is a local memory-tier hit.
-	resB2, err := (&Client{BaseURL: tsB.URL}).Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resB2.Served != "memory" {
-		t.Fatalf("daemon B repeat served=%q, want memory", resB2.Served)
 	}
 }
 

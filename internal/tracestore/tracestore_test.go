@@ -560,8 +560,10 @@ func TestWriteFailureDegradesToHeap(t *testing.T) {
 
 func TestScratchPoolRecycled(t *testing.T) {
 	s := mustOpen(t, Config{Dir: t.TempDir(), MaxResident: 1})
+	// The race detector makes sync.Pool drop a quarter of Puts at random,
+	// so give the pool many chances: 19 recycles all dropped is ~(1/4)^19.
 	var sawScratch bool
-	for i := uint64(0); i < 3; i++ {
+	for i := uint64(0); i < 20; i++ {
 		sl, err := s.GetOrConvert(testKey(50+i), func(scratch []champtrace.Instruction) ([]champtrace.Instruction, core.Stats, error) {
 			if cap(scratch) > 0 {
 				sawScratch = true
