@@ -446,8 +446,8 @@ func printSlabStats(store *experiments.SlabStore) {
 		return
 	}
 	s := store.Stats()
-	fmt.Fprintf(os.Stderr, "slabs: %d hits (%d mem, %d disk), %d misses, %d converted, %d prefetched, %d corrupt, %.1f MB mapped, %.1f MB written (%s)\n",
-		s.Hits, s.MemHits, s.DiskHits, s.Misses, s.Converts, s.Prefetches, s.Corrupt,
+	fmt.Fprintf(os.Stderr, "slabs: %d hits (%d mem, %d disk), %d misses, %d converted, %d corrupt, %.1f MB mapped, %.1f MB written (%s)\n",
+		s.Hits, s.MemHits, s.DiskHits, s.Misses, s.Converts, s.Corrupt,
 		float64(s.BytesMapped)/1e6, float64(s.BytesWritten)/1e6, store.Dir())
 }
 

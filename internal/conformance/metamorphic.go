@@ -77,25 +77,66 @@ func CheckGenerateDeterminism(p synth.Profile, n int) error {
 	return nil
 }
 
-// CheckSweepParallelism runs the same sweep single-threaded and with
+// CheckSweepParallelism runs the same grids single-threaded and with
 // parallelism workers and requires byte-identical results (compared through
-// a canonical JSON encoding), proving the work-queue engine introduces no
-// scheduling-dependent behaviour.
+// a canonical JSON encoding), proving the cell engine introduces no
+// scheduling-dependent behaviour: the figure sweep over profiles, plus
+// Table 3 and the front-end ablation over two IPC-1 traces.
 func CheckSweepParallelism(profiles []synth.Profile, instructions int, warmup uint64, parallelism int) error {
 	if parallelism < 2 {
 		parallelism = 4
 	}
-	run := func(par int) ([]byte, error) {
-		res, err := experiments.RunSweep(profiles, experiments.SweepConfig{
+	run := func(par int) ([3][]byte, error) {
+		return runGrids(profiles, experiments.SweepConfig{
 			Instructions: instructions,
 			Warmup:       warmup,
 			Parallelism:  par,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
 	}
+	return compareParallelism(run, "", parallelism)
+}
+
+// gridNames names runGrids' results, in order.
+var gridNames = [...]string{"sweep", "table 3", "ablation"}
+
+// runGrids runs every single-core grid the cell engine serves under cfg —
+// the figure sweep over profiles, and Table 3 and the front-end ablation
+// over one client and one icache-heavy server IPC-1 trace — and returns
+// their JSON encodings.
+func runGrids(profiles []synth.Profile, cfg experiments.SweepConfig) ([3][]byte, error) {
+	var out [3][]byte
+	var suite []synth.IPC1Trace
+	for _, name := range []string{"client_001", "server_023"} {
+		tr, ok := synth.FindIPC1(name)
+		if !ok {
+			return out, fmt.Errorf("IPC-1 trace %s missing", name)
+		}
+		suite = append(suite, tr)
+	}
+	sweep, err := experiments.RunSweep(profiles, cfg)
+	if err != nil {
+		return out, fmt.Errorf("sweep: %w", err)
+	}
+	table3, err := experiments.Table3(cfg, suite)
+	if err != nil {
+		return out, fmt.Errorf("table 3: %w", err)
+	}
+	ablation, err := experiments.FrontEndAblation(cfg, suite)
+	if err != nil {
+		return out, fmt.Errorf("ablation: %w", err)
+	}
+	for i, v := range []any{sweep, table3, ablation} {
+		if out[i], err = json.Marshal(v); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// compareParallelism runs the grids at -parallel 1 and -parallel
+// parallelism and requires every grid's JSON to match byte for byte. mode
+// ("" or "sampled ") prefixes the grid names in errors.
+func compareParallelism(run func(par int) ([3][]byte, error), mode string, parallelism int) error {
 	serial, err := run(1)
 	if err != nil {
 		return fmt.Errorf("-parallel 1: %w", err)
@@ -104,9 +145,11 @@ func CheckSweepParallelism(profiles []synth.Profile, instructions int, warmup ui
 	if err != nil {
 		return fmt.Errorf("-parallel %d: %w", parallelism, err)
 	}
-	if !bytes.Equal(serial, concurrent) {
-		return fmt.Errorf("sweep results differ between -parallel 1 and -parallel %d (%d vs %d JSON bytes)",
-			parallelism, len(serial), len(concurrent))
+	for i := range serial {
+		if !bytes.Equal(serial[i], concurrent[i]) {
+			return fmt.Errorf("%s%s results differ between -parallel 1 and -parallel %d (%d vs %d JSON bytes)",
+				mode, gridNames[i], parallelism, len(serial[i]), len(concurrent[i]))
+		}
 	}
 	return nil
 }

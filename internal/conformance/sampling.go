@@ -7,9 +7,8 @@ package conformance
 // `rebase -selftest`, alongside the golden corpus's pinned sampled counters.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
+	"os"
 
 	"tracerebase/internal/core"
 	"tracerebase/internal/cvp"
@@ -160,40 +159,46 @@ func CheckSampledKeyDisjoint(p synth.Profile, n int, warmup uint64) error {
 	return nil
 }
 
-// CheckSampledParallelism runs the same sampled sweep single-threaded and
-// with parallelism workers and requires byte-identical results: interval
-// schedules are per-trace deterministic, so worker scheduling must not leak
-// into sampled statistics any more than into exact ones.
+// CheckSampledParallelism runs the same sampled grids (the figure sweep,
+// Table 3 and the front-end ablation; see CheckSweepParallelism)
+// single-threaded and with parallelism workers and requires byte-identical
+// results: interval schedules are per-trace deterministic, so worker
+// scheduling must not leak into sampled statistics any more than into
+// exact ones. Each run gets a fresh checkpoint cache, so the checkpoint
+// gate admits the ablation's shared warm identities concurrently; both
+// runs must write checkpoints.
 func CheckSampledParallelism(profiles []synth.Profile, instructions int, warmup uint64, parallelism int) error {
 	if parallelism < 2 {
 		parallelism = 4
 	}
 	period, detail, warm := selftestSampling(instructions)
-	run := func(par int) ([]byte, error) {
-		res, err := experiments.RunSweep(profiles, experiments.SweepConfig{
+	run := func(par int) ([3][]byte, error) {
+		dir, err := os.MkdirTemp("", "tracerebase-sampledcheck-")
+		if err != nil {
+			return [3][]byte{}, err
+		}
+		defer os.RemoveAll(dir)
+		ckpts, err := experiments.OpenCheckpointCache(dir, 0)
+		if err != nil {
+			return [3][]byte{}, err
+		}
+		defer ckpts.Close()
+		grids, err := runGrids(profiles, experiments.SweepConfig{
 			Instructions: instructions,
 			Warmup:       warmup,
 			Parallelism:  par,
 			SamplePeriod: period,
 			SampleDetail: detail,
 			SampleWarm:   warm,
+			Checkpoints:  ckpts,
 		})
 		if err != nil {
-			return nil, err
+			return grids, err
 		}
-		return json.Marshal(res)
+		if st := ckpts.Stats(); st.BytesWritten == 0 {
+			return grids, fmt.Errorf("no checkpoint written (checkpoint gate never admitted a shared warm identity): %+v", st)
+		}
+		return grids, nil
 	}
-	serial, err := run(1)
-	if err != nil {
-		return fmt.Errorf("-parallel 1: %w", err)
-	}
-	concurrent, err := run(parallelism)
-	if err != nil {
-		return fmt.Errorf("-parallel %d: %w", parallelism, err)
-	}
-	if !bytes.Equal(serial, concurrent) {
-		return fmt.Errorf("sampled sweep results differ between -parallel 1 and -parallel %d (%d vs %d JSON bytes)",
-			parallelism, len(serial), len(concurrent))
-	}
-	return nil
+	return compareParallelism(run, "sampled ", parallelism)
 }

@@ -147,7 +147,7 @@ func SelfTest(cfg SelfTestConfig) error {
 	if sweepPar < 2 {
 		sweepPar = 4
 	}
-	r.run(fmt.Sprintf("determinism: sweep of %d traces, -parallel 1 vs -parallel %d byte-identical",
+	r.run(fmt.Sprintf("determinism: sweep of %d traces + Table 3 and ablation of 2 IPC-1 traces, -parallel 1 vs -parallel %d byte-identical",
 		len(sweepProfiles), sweepPar), func() error {
 		return CheckSweepParallelism(sweepProfiles, cfg.SimInstructions, cfg.Warmup, sweepPar)
 	})
@@ -224,7 +224,7 @@ func SelfTest(cfg SelfTestConfig) error {
 	r.run(fmt.Sprintf("sampling: %s exact and sampled cache keys pairwise disjoint", keyProfile.Name), func() error {
 		return CheckSampledKeyDisjoint(keyProfile, cfg.SimInstructions, cfg.Warmup)
 	})
-	r.run(fmt.Sprintf("sampling: sampled sweep of %d traces, -parallel 1 vs %d byte-identical",
+	r.run(fmt.Sprintf("sampling: sampled sweep of %d traces + Table 3 and ablation of 2 IPC-1 traces with checkpoints, -parallel 1 vs %d byte-identical",
 		len(sweepProfiles), sweepPar), func() error {
 		return CheckSampledParallelism(sweepProfiles, cfg.SimInstructions, cfg.Warmup, sweepPar)
 	})

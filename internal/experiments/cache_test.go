@@ -40,8 +40,12 @@ func TestSweepConfigValidation(t *testing.T) {
 			if _, err := RunSweep(profiles, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("RunSweep err = %v, want %q", err, tc.want)
 			}
-			if _, err := RunTrace(profiles[0], tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("RunTrace err = %v, want %q", err, tc.want)
+			// The other grids share RunSweep's cell engine and its checks.
+			if _, err := Table3(tc.cfg, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Table3 err = %v, want %q", err, tc.want)
+			}
+			if _, err := FrontEndAblation(tc.cfg, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("FrontEndAblation err = %v, want %q", err, tc.want)
 			}
 		})
 	}

@@ -38,14 +38,19 @@ func TestVariants(t *testing.T) {
 	}
 }
 
+// TestRunTraceAndSweep: a one-trace serial sweep yields sane results, and
+// a parallel two-trace sweep reproduces them exactly.
 func TestRunTraceAndSweep(t *testing.T) {
 	cfg := testSweepConfig()
 	cfg.Variants = figureVariants(VariantNone, VariantAll)
 	p := synth.PublicProfile(synth.ComputeInt, 2)
-	tr, err := RunTrace(p, cfg)
+	serial := cfg
+	serial.Parallelism = 1
+	one, err := RunSweep([]synth.Profile{p}, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := one[0]
 	if len(tr.Results) != 2 {
 		t.Fatalf("got %d results", len(tr.Results))
 	}

@@ -26,7 +26,14 @@ func TestConverterClasses(t *testing.T) {
 		{"c", core.OptionsNone()}, // same bits as a
 		{"d", core.Options{FlagReg: true}},
 	}
-	classOf, classOpts := converterClasses(vs)
+	variantOpts := func(vs []Variant) []core.Options {
+		opts := make([]core.Options, len(vs))
+		for i, v := range vs {
+			opts[i] = v.Opts
+		}
+		return opts
+	}
+	classOf, classOpts := converterClasses(variantOpts(vs))
 	if len(classOpts) != 3 {
 		t.Fatalf("got %d classes, want 3", len(classOpts))
 	}
@@ -42,7 +49,7 @@ func TestConverterClasses(t *testing.T) {
 		}
 	}
 	// The standard ten variants all have distinct option bits.
-	classOf, classOpts = converterClasses(Variants())
+	classOf, classOpts = converterClasses(variantOpts(Variants()))
 	if len(classOpts) != 10 {
 		t.Fatalf("standard variants: %d classes, want 10", len(classOpts))
 	}

@@ -119,10 +119,10 @@ type SweepConfig struct {
 	// 0 = NumCPU.
 	Parallelism int
 	// Progress, when non-nil, is called after each trace completes all of
-	// its variants. It is invoked outside the sweep's internal locks, so a
-	// slow callback (rendering, logging) never stalls the workers; calls
-	// for different traces may therefore arrive out of order, but each
-	// carries its own done count.
+	// its cells, with done counting 1, 2, ..., total in order: the count is
+	// taken and the callback run under one mutex, so a call for done=4 can
+	// never arrive after the one for done=5. A slow callback stalls only
+	// the workers that finish a trace while it runs.
 	Progress func(done, total int)
 	// NoSkip disables the simulator's event-horizon cycle skipping
 	// (sim.Config.NoCycleSkip) for every simulation the sweep dispatches.
@@ -161,11 +161,10 @@ type SweepConfig struct {
 	// type differs). nil recomputes every multi-core cell.
 	MultiCache *MultiCache
 	// Slabs, when non-nil, serves converted instruction slabs by content
-	// address: conversion is hoisted out of the per-variant loop into
+	// address: conversion is hoisted out of the per-cell loop into
 	// converter-option equivalence classes (convert once per trace and
 	// class, feed every cell in the class from one shared read-only slab),
-	// warm slabs load zero-copy from disk instead of reconverting, and the
-	// next trace's slabs are prefetched while the current one simulates.
+	// and warm slabs load zero-copy from disk instead of reconverting.
 	// nil reproduces the streaming-conversion engine exactly.
 	Slabs *SlabStore
 	// Exp, when non-nil, is the append-only columnar experiment store:
@@ -234,37 +233,46 @@ func (c *SweepConfig) fill() error {
 	return nil
 }
 
-// applySampling copies the sweep's sampling parameters into a simulator
-// configuration. Every dispatch path (sweep, ablation, Table 3) routes
-// through it, so sampled runs are keyed apart from exact ones everywhere.
-func (c *SweepConfig) applySampling(sc *sim.Config) {
+// dispatchConfig applies the sweep's cycle-skipping and sampling settings
+// to a model configuration. Every single-core grid (the figure sweep,
+// Table 3, the ablation) builds its cell configurations through it, so
+// NoSkip and sampled results are keyed apart from default ones everywhere.
+func (c *SweepConfig) dispatchConfig(sc sim.Config) sim.Config {
+	sc.NoCycleSkip = c.NoSkip
 	sc.SamplePeriod = c.SamplePeriod
 	sc.SampleDetail = c.SampleDetail
 	sc.SampleWarm = c.SampleWarm
-}
-
-// simConfigFor returns the develop-branch model configuration for opts with
-// the sweep's cycle-skipping and sampling settings applied. Dispatch and
-// cache keys share it, so NoSkip and sampled results are keyed apart from
-// default ones.
-func (c *SweepConfig) simConfigFor(opts core.Options) sim.Config {
-	sc := DevelopConfigFor(opts)
-	sc.NoCycleSkip = c.NoSkip
-	c.applySampling(&sc)
 	return sc
 }
 
-// runVariantSource simulates one cell from an abstract source factory on
-// simCfg (the develop-branch model). mkSource must return a fresh
-// start-of-trace source on every call (the checkpoint path invokes it more
-// than once) together with a converter-statistics getter valid after the
-// source is drained. In sampled mode with a checkpoint cache, the
-// simulation resumes from a shared warmed-prefix checkpoint rather than
-// re-warming.
-func runVariantSource(p *synth.Profile, mkSource func() (champtrace.Source, func() core.Stats, func()), v Variant, simCfg sim.Config, cfg *SweepConfig) (Result, error) {
-	if cfg.Checkpoints != nil && simCfg.SamplePeriod > 0 && cfg.Warmup > 0 {
-		key := checkpointKey(p, v.Opts, simCfg, cfg.Instructions, cfg.Warmup)
-		res, ok, err := runCheckpointed(cfg.Checkpoints, cfg.ckptGate, key, mkSource, simCfg, cfg.Warmup)
+// simConfigFor returns the develop-branch model configuration for opts
+// (via DevelopConfigFor, which pairs branch-deduction rules with options)
+// with the sweep's settings applied. Dispatch and cache keys share it.
+func (c *SweepConfig) simConfigFor(opts core.Options) sim.Config {
+	return c.dispatchConfig(DevelopConfigFor(opts))
+}
+
+// cell is one simulation of an experiment grid: trace ti of the grid's
+// profiles, converted under opts and simulated on sim. label is the
+// cell's variant column in the experiment store ("No_imp", "competition",
+// "coupled", ...) and names the cell in errors.
+type cell struct {
+	ti    int
+	label string
+	opts  core.Options
+	sim   sim.Config
+}
+
+// simulate runs one cell over sources from mkSource, which must return a
+// fresh start-of-trace source on every call (the checkpoint path invokes
+// it more than once) together with a converter-statistics getter valid
+// after the source is drained. In sampled mode with a checkpoint cache,
+// the simulation resumes from a shared warmed-prefix checkpoint rather
+// than re-warming.
+func simulate(p *synth.Profile, c cell, mkSource func() (champtrace.Source, func() core.Stats, func()), cfg *SweepConfig) (Result, error) {
+	if cfg.Checkpoints != nil && c.sim.SamplePeriod > 0 && cfg.Warmup > 0 {
+		key := checkpointKey(p, c.opts, c.sim, cfg.Instructions, cfg.Warmup)
+		res, ok, err := runCheckpointed(cfg.Checkpoints, cfg.ckptGate, key, mkSource, c.sim, cfg.Warmup)
 		if err != nil {
 			return Result{}, err
 		}
@@ -272,84 +280,56 @@ func runVariantSource(p *synth.Profile, mkSource func() (champtrace.Source, func
 			return res, nil
 		}
 	}
-	cs, convStats, cleanup := mkSource()
+	src, convStats, cleanup := mkSource()
 	defer cleanup()
-	// Traces carrying branch-regs need the §3.2.2 ChampSim patch;
-	// simConfigFor (via DevelopConfigFor) pairs rules with options for
-	// dispatch and cache keys alike.
-	st, err := sim.Run(cs, simCfg, cfg.Warmup, 0)
+	st, err := sim.Run(src, c.sim, cfg.Warmup, 0)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{IPC: st.IPC(), Sim: st, Conv: convStats()}, nil
 }
 
-// runVariant converts instrs under v and simulates the result, streaming
-// conversion into the simulator batch by batch instead of materializing
-// the converted trace — the slab-store-off path. instrs is read-only and
-// may be shared by concurrent callers.
-func runVariant(p *synth.Profile, instrs []cvp.Instruction, v Variant, simCfg sim.Config, cfg *SweepConfig) (Result, error) {
-	mkSource := func() (champtrace.Source, func() core.Stats, func()) {
-		cs := core.NewConverterSource(cvp.NewValuesSource(instrs), v.Opts)
+// streamSource returns a source factory that converts instrs under opts
+// batch by batch straight into the simulator — the slab-store-off path.
+// instrs is read-only and may be shared by concurrent callers.
+func streamSource(instrs []cvp.Instruction, opts core.Options) func() (champtrace.Source, func() core.Stats, func()) {
+	return func() (champtrace.Source, func() core.Stats, func()) {
+		cs := core.NewConverterSource(cvp.NewValuesSource(instrs), opts)
 		return cs, cs.Stats, func() { cs.Close() }
 	}
-	return runVariantSource(p, mkSource, v, simCfg, cfg)
 }
 
-// runVariantSlab simulates one cell straight from a store slab: conversion
-// already happened (this run or a previous process), so the cell is pure
-// simulation over the shared read-only record view. The slab's persisted
-// converter statistics stand in for the streaming converter's end-of-trace
-// statistics — they are equal by construction, which the slab-transparency
-// conformance oracle enforces.
-func runVariantSlab(p *synth.Profile, sl *tracestore.Slab, v Variant, simCfg sim.Config, cfg *SweepConfig) (Result, error) {
+// slabSource returns a source factory over a store slab's shared read-only
+// records: conversion already happened (this run or a previous process),
+// so the cell is pure simulation. The slab's persisted converter
+// statistics stand in for the streaming converter's end-of-trace
+// statistics — they are equal by construction, which the
+// slab-transparency conformance oracle enforces.
+func slabSource(sl *tracestore.Slab) func() (champtrace.Source, func() core.Stats, func()) {
 	conv := sl.Conv()
 	recs := sl.Records()
-	mkSource := func() (champtrace.Source, func() core.Stats, func()) {
-		src := champtrace.NewValuesSource(recs)
-		return src, func() core.Stats { return conv }, func() {}
+	return func() (champtrace.Source, func() core.Stats, func()) {
+		return champtrace.NewValuesSource(recs), func() core.Stats { return conv }, func() {}
 	}
-	return runVariantSource(p, mkSource, v, simCfg, cfg)
 }
 
-// RunTrace generates one trace and simulates it under every variant on the
-// develop-branch model.
-func RunTrace(p synth.Profile, cfg SweepConfig) (TraceResult, error) {
-	if err := cfg.fill(); err != nil {
-		return TraceResult{}, err
-	}
-	instrs, err := p.GenerateBatch(cfg.Instructions)
-	if err != nil {
-		return TraceResult{}, err
-	}
-	tr := TraceResult{Profile: p, Results: make(map[string]Result, len(cfg.Variants))}
-	for _, v := range cfg.Variants {
-		res, err := runVariant(&p, instrs, v, cfg.simConfigFor(v.Opts), &cfg)
-		if err != nil {
-			return tr, fmt.Errorf("experiments: %s/%s: %w", p.Name, v.Name, err)
-		}
-		tr.Results[v.Name] = res
-	}
-	return tr, nil
-}
-
-// traceState is the per-trace shared state of a sweep: the generated
-// instruction slab (produced once, read-only across the trace's variant
-// workers), the count of variants still outstanding, and — with a slab
-// store — one cell per converter-option equivalence class.
+// traceState is the per-trace shared state of a grid run: the generated
+// instruction slab (produced once, read-only across the trace's cell
+// workers), the count of cells still outstanding, and — with a slab
+// store — one hold per converter-option equivalence class.
 type traceState struct {
 	once   sync.Once
 	instrs []cvp.Instruction
 	err    error
 	left   atomic.Int32
 	// classes is indexed by equivalence-class id (see converterClasses);
-	// nil when the sweep runs without a slab store.
+	// nil when the grid runs without a slab store.
 	classes []classCell
 }
 
 // classCell is the per-(trace, converter-option-class) slab hold: acquired
 // once by whichever cell of the class gets there first, shared read-only
-// across the class's variants, and released when the last cell drains.
+// across the class's cells, and released when the last cell drains.
 type classCell struct {
 	once sync.Once
 	slab *tracestore.Slab
@@ -373,39 +353,170 @@ func (cc *classCell) release() {
 	}
 }
 
-// converterClasses groups variants into converter-option equivalence
-// classes: variants with identical option bits produce identical converted
-// traces, so they share one slab per trace. classOf maps variant index to
+// converterClasses groups option sets into converter-option equivalence
+// classes: identical option bits produce identical converted traces, so
+// they share one slab per trace. classOf maps each input index to its
 // class id; classOpts holds each class's option set.
-func converterClasses(variants []Variant) (classOf []int, classOpts []core.Options) {
-	classOf = make([]int, len(variants))
+func converterClasses(opts []core.Options) (classOf []int, classOpts []core.Options) {
+	classOf = make([]int, len(opts))
 	byBits := make(map[uint8]int)
-	for vi, v := range variants {
-		bits := v.Opts.Bits()
+	for i, o := range opts {
+		bits := o.Bits()
 		ci, ok := byBits[bits]
 		if !ok {
 			ci = len(classOpts)
 			byBits[bits] = ci
-			classOpts = append(classOpts, v.Opts)
+			classOpts = append(classOpts, o)
 		}
-		classOf[vi] = ci
+		classOf[i] = ci
 	}
 	return classOf, classOpts
 }
 
-// RunSweep simulates every profile under every variant with a bounded pool
-// of workers draining a (trace, variant) work queue: each trace is
-// generated exactly once — by whichever worker gets there first — and its
-// instruction slab is shared read-only across the trace's variant
-// simulations, so sweep parallelism is trace×variant-wide rather than
-// trace-wide.
+// runCells is the engine behind every single-core experiment grid: a
+// bounded pool of cfg.Parallelism workers drains the cells, which must be
+// trace-major (all of a trace's cells adjacent), so at most ~Parallelism
+// traces have live instruction slabs. Each trace is generated at most
+// once — by whichever worker first needs it — and shared read-only across
+// its cells; with a slab store, conversion is hoisted into the trace's
+// converter-option classes instead of streaming per cell.
 //
-// With cfg.Cache set, each (trace, variant) cell is first looked up by its
-// content address; a hit skips generation, conversion, and simulation for
-// that cell — and a fully-cached trace is never generated at all, because
-// generation is deferred into the compute closure that only a cache miss
-// invokes. Concurrent misses on the same key (e.g. overlapping sweeps from
-// concurrent callers) share a single computation.
+// With cfg.Cache set, each cell is first looked up by its content address;
+// a hit skips generation, conversion and simulation — a fully-cached trace
+// is never generated at all, because generation is deferred into the
+// compute closure that only a miss invokes — and concurrent misses on one
+// key share a single computation. Every successful cell is appended to
+// cfg.Exp under its label.
+//
+// res[i] and ok[i] describe cells[i] whatever the completion order. errs
+// holds, in grid order, one error per trace whose generation failed and
+// one per other failed cell; every cell that did succeed is still
+// delivered.
+func runCells(profiles []synth.Profile, cells []cell, cfg *SweepConfig) (res []Result, ok []bool, errs []error) {
+	optsOf := make([]core.Options, len(cells))
+	for i, c := range cells {
+		optsOf[i] = c.opts
+	}
+	classOf, classOpts := converterClasses(optsOf)
+	states := make([]traceState, len(profiles))
+	if cfg.Slabs != nil {
+		for ti := range states {
+			states[ti].classes = make([]classCell, len(classOpts))
+		}
+	}
+	for i, c := range cells {
+		states[c.ti].left.Add(1)
+		if cfg.Slabs != nil {
+			states[c.ti].classes[classOf[i]].left.Add(1)
+		}
+	}
+	res = make([]Result, len(cells))
+	ok = make([]bool, len(cells))
+	cellErrs := make([]error, len(cells))
+
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	// Progress counts and reports under one mutex, so calls never overlap
+	// and their done counts arrive strictly in order.
+	var progressMu sync.Mutex
+	done := 0
+	for w := 0; w < cfg.Parallelism; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				c := cells[i]
+				p := &profiles[c.ti]
+				st := &states[c.ti]
+				generate := func() ([]cvp.Instruction, error) {
+					st.once.Do(func() {
+						st.instrs, st.err = p.GenerateBatch(cfg.Instructions)
+					})
+					return st.instrs, st.err
+				}
+				compute := func() (Result, error) {
+					if cfg.Slabs == nil {
+						instrs, err := generate()
+						if err != nil {
+							return Result{}, err
+						}
+						return simulate(p, c, streamSource(instrs, c.opts), cfg)
+					}
+					// The first cell of the class to miss the result cache
+					// acquires the slab (converting only if the store misses
+					// too — generation is deferred all the way into that
+					// innermost miss); every later cell simulates from the
+					// same mapping.
+					cc := &st.classes[classOf[i]]
+					cc.once.Do(func() {
+						cc.slab, cc.err = acquireSlab(cfg.Slabs, p, classOpts[classOf[i]], cfg.Instructions, generate)
+					})
+					if cc.err != nil {
+						return Result{}, cc.err
+					}
+					return simulate(p, c, slabSource(cc.slab), cfg)
+				}
+				var r Result
+				var err error
+				var key resultcache.Key
+				if cfg.Cache != nil || cfg.Exp != nil {
+					key = cacheKey(p, c.opts, c.sim, cfg.Instructions, cfg.Warmup)
+				}
+				if cfg.Cache != nil {
+					r, err = cfg.Cache.GetOrCompute(key, compute)
+				} else {
+					r, err = compute()
+				}
+				if err == nil {
+					cfg.recordCell(p, c.label, c.sim, key, r)
+				}
+				if cfg.Slabs != nil {
+					st.classes[classOf[i]].release()
+				}
+				switch {
+				case err == nil:
+					res[i], ok[i] = r, true
+				case st.err != nil:
+					// Generation failure: reported once per trace, not
+					// once per cell.
+				default:
+					cellErrs[i] = fmt.Errorf("experiments: %s/%s: %w", p.Name, c.label, err)
+				}
+				if st.left.Add(-1) == 0 {
+					st.instrs = nil // last cell done: release the trace
+					progressMu.Lock()
+					done++
+					if cfg.Progress != nil {
+						cfg.Progress(done, len(profiles))
+					}
+					progressMu.Unlock()
+				}
+			}
+		}()
+	}
+	for i := range cells {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+
+	for i, c := range cells {
+		// Cells are trace-major: report a generation failure at the
+		// trace's first cell.
+		if st := &states[c.ti]; st.err != nil && (i == 0 || cells[i-1].ti != c.ti) {
+			errs = append(errs, fmt.Errorf("experiments: generate %s: %w", profiles[c.ti].Name, st.err))
+		}
+		if cellErrs[i] != nil {
+			errs = append(errs, cellErrs[i])
+		}
+	}
+	return res, ok, errs
+}
+
+// RunSweep simulates every profile under every variant of cfg on the
+// shared cell engine (runCells), one develop-model cell per (trace,
+// variant), so sweep parallelism is trace×variant-wide rather than
+// trace-wide.
 //
 // Results are assembled deterministically: out[i] always corresponds to
 // profiles[i] regardless of completion order. On failure the returned
@@ -419,166 +530,19 @@ func RunSweep(profiles []synth.Profile, cfg SweepConfig) ([]TraceResult, error) 
 		return nil, err
 	}
 	nv := len(cfg.Variants)
-	classOf, classOpts := converterClasses(cfg.Variants)
-	classSize := make([]int32, len(classOpts))
-	for _, ci := range classOf {
-		classSize[ci]++
-	}
-	states := make([]traceState, len(profiles))
-	cells := make([][]Result, len(profiles))
-	cellOK := make([][]bool, len(profiles))
-	cellErrs := make([][]error, len(profiles))
-	for i := range profiles {
-		states[i].left.Store(int32(nv))
-		cells[i] = make([]Result, nv)
-		cellOK[i] = make([]bool, nv)
-		cellErrs[i] = make([]error, nv)
-		if cfg.Slabs != nil {
-			states[i].classes = make([]classCell, len(classOpts))
-			for ci := range states[i].classes {
-				states[i].classes[ci].left.Store(classSize[ci])
-			}
-		}
-	}
-
-	type job struct{ ti, vi int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	done := 0
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				st := &states[j.ti]
-				v := cfg.Variants[j.vi]
-				generate := func() ([]cvp.Instruction, error) {
-					st.once.Do(func() {
-						st.instrs, st.err = profiles[j.ti].GenerateBatch(cfg.Instructions)
-					})
-					return st.instrs, st.err
-				}
-				compute := func() (Result, error) {
-					if cfg.Slabs == nil {
-						instrs, err := generate()
-						if err != nil {
-							return Result{}, err
-						}
-						return runVariant(&profiles[j.ti], instrs, v, cfg.simConfigFor(v.Opts), &cfg)
-					}
-					// Conversion is hoisted to the class: the first cell of
-					// the class to miss the result cache acquires the slab
-					// (converting only if the store misses too — generation
-					// is deferred all the way into that innermost miss);
-					// every later cell simulates from the same mapping.
-					cc := &st.classes[classOf[j.vi]]
-					cc.once.Do(func() {
-						cc.slab, cc.err = acquireSlab(cfg.Slabs, &profiles[j.ti],
-							classOpts[classOf[j.vi]], cfg.Instructions, generate)
-					})
-					if cc.err != nil {
-						return Result{}, cc.err
-					}
-					return runVariantSlab(&profiles[j.ti], cc.slab, v, cfg.simConfigFor(v.Opts), &cfg)
-				}
-				var res Result
-				var err error
-				var key resultcache.Key
-				if cfg.Cache != nil || cfg.Exp != nil {
-					key = cacheKey(&profiles[j.ti], v.Opts, cfg.simConfigFor(v.Opts), cfg.Instructions, cfg.Warmup)
-				}
-				if cfg.Cache != nil {
-					res, err = cfg.Cache.GetOrCompute(key, compute)
-				} else {
-					res, err = compute()
-				}
-				if err == nil {
-					cfg.recordCell(&profiles[j.ti], v.Name, cfg.simConfigFor(v.Opts), key, res)
-				}
-				if cfg.Slabs != nil {
-					st.classes[classOf[j.vi]].release()
-				}
-				switch {
-				case err == nil:
-					cells[j.ti][j.vi] = res
-					cellOK[j.ti][j.vi] = true
-				case st.err != nil:
-					// Generation failure: reported once per trace during
-					// assembly, not once per variant.
-				default:
-					cellErrs[j.ti][j.vi] = fmt.Errorf("experiments: %s/%s: %w",
-						profiles[j.ti].Name, v.Name, err)
-				}
-				if st.left.Add(-1) == 0 {
-					st.instrs = nil // last variant done: release the trace
-					mu.Lock()
-					done++
-					d := done
-					mu.Unlock()
-					if cfg.Progress != nil {
-						cfg.Progress(d, len(profiles))
-					}
-				}
-			}
-		}()
-	}
-	// With a slab store, a single goroutine warms the next trace's slabs
-	// from disk while the current trace simulates: validation touches every
-	// page, so by the time the workers reach the trace its slabs are
-	// resident. The pace channel is capacity 1 and sends are non-blocking —
-	// prefetch trails at most one trace behind the feed and never stalls
-	// it, and a cold store (nothing on disk yet) degrades to a handful of
-	// failed opens.
-	var prefetchWG sync.WaitGroup
-	var pace chan int
-	if cfg.Slabs != nil && len(profiles) > 1 {
-		pace = make(chan int, 1)
-		prefetchWG.Add(1)
-		go func() {
-			defer prefetchWG.Done()
-			for ti := range pace {
-				for ci := range classOpts {
-					cfg.Slabs.Prefetch(slabKey(&profiles[ti], classOpts[ci], cfg.Instructions))
-				}
-			}
-		}()
-	}
-	// Trace-major order: all of a trace's variants are adjacent in the
-	// queue, so at most ~Parallelism traces have live instruction slabs.
+	cells := make([]cell, 0, len(profiles)*nv)
 	for ti := range profiles {
-		if pace != nil && ti+1 < len(profiles) {
-			select {
-			case pace <- ti + 1:
-			default:
-			}
-		}
-		for vi := 0; vi < nv; vi++ {
-			jobs <- job{ti, vi}
+		for _, v := range cfg.Variants {
+			cells = append(cells, cell{ti: ti, label: v.Name, opts: v.Opts, sim: cfg.simConfigFor(v.Opts)})
 		}
 	}
-	close(jobs)
-	if pace != nil {
-		close(pace)
-	}
-	wg.Wait()
-	prefetchWG.Wait()
-
+	res, ok, errs := runCells(profiles, cells, &cfg)
 	out := make([]TraceResult, len(profiles))
-	var errs []error
 	for ti := range profiles {
 		out[ti] = TraceResult{Profile: profiles[ti], Results: make(map[string]Result, nv)}
-		if states[ti].err != nil {
-			errs = append(errs, fmt.Errorf("experiments: generate %s: %w",
-				profiles[ti].Name, states[ti].err))
-		}
 		for vi, v := range cfg.Variants {
-			if err := cellErrs[ti][vi]; err != nil {
-				errs = append(errs, err)
-				continue
-			}
-			if cellOK[ti][vi] {
-				out[ti].Results[v.Name] = cells[ti][vi]
+			if i := ti*nv + vi; ok[i] {
+				out[ti].Results[v.Name] = res[i]
 			}
 		}
 	}

@@ -82,7 +82,7 @@ func TestRunSweepErrorAggregation(t *testing.T) {
 
 // TestRunSweepProgress: Progress fires once per trace with a distinct done
 // count, and the callback may itself block briefly without deadlocking the
-// sweep (it runs outside the sweep's internal lock).
+// sweep (it holds only the progress lock, never the work queue).
 func TestRunSweepProgress(t *testing.T) {
 	profiles := []synth.Profile{
 		synth.PublicProfile(synth.ComputeInt, 2),
@@ -112,5 +112,44 @@ func TestRunSweepProgress(t *testing.T) {
 	defer mu.Unlock()
 	if len(seen) != len(profiles) || !seen[1] || !seen[2] {
 		t.Fatalf("Progress counts seen: %v", seen)
+	}
+}
+
+// TestRunSweepProgressOrder: with many workers finishing traces at once,
+// Progress still reports done counts in strictly increasing order, ending
+// at total — the CLI prints its final newline on done == total, so a late
+// smaller count would overwrite it.
+func TestRunSweepProgressOrder(t *testing.T) {
+	var profiles []synth.Profile
+	for _, cat := range []synth.Category{synth.ComputeInt, synth.Crypto, synth.Server} {
+		for i := 1; i <= 2; i++ {
+			profiles = append(profiles, synth.PublicProfile(cat, i))
+		}
+	}
+	cfg := SweepConfig{Instructions: 3000, Warmup: 500, Parallelism: 4,
+		Variants: figureVariants(VariantNone)}
+
+	var mu sync.Mutex
+	var counts []int
+	cfg.Progress = func(done, total int) {
+		if total != len(profiles) {
+			t.Errorf("Progress total = %d, want %d", total, len(profiles))
+		}
+		mu.Lock()
+		counts = append(counts, done)
+		mu.Unlock()
+	}
+	if _, err := RunSweep(profiles, cfg); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 1; i < len(counts); i++ {
+		if counts[i] <= counts[i-1] {
+			t.Fatalf("Progress counts not strictly increasing: %v", counts)
+		}
+	}
+	if len(counts) == 0 || counts[len(counts)-1] != len(profiles) {
+		t.Fatalf("Progress counts %v do not end at %d", counts, len(profiles))
 	}
 }

@@ -1,18 +1,15 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 
-	"tracerebase/internal/champtrace"
 	"tracerebase/internal/core"
-	"tracerebase/internal/cvp"
-	"tracerebase/internal/resultcache"
 	"tracerebase/internal/sim"
 	"tracerebase/internal/stats"
 	"tracerebase/internal/synth"
-	"tracerebase/internal/tracestore"
 )
 
 // RenderTable1 prints Table 1: the summary of the proposed trace conversion
@@ -61,11 +58,7 @@ func Table2(cfg SweepConfig, suite []synth.IPC1Trace) (Table2Result, error) {
 	if suite == nil {
 		suite = synth.IPC1Suite()
 	}
-	profiles := make([]synth.Profile, len(suite))
-	for i, tr := range suite {
-		profiles[i] = tr.Profile
-	}
-	results, err := RunSweep(profiles, cfg)
+	results, err := RunSweep(suiteProfiles(suite), cfg)
 	if err != nil {
 		return Table2Result{}, err
 	}
@@ -121,6 +114,10 @@ func RenderTable2(w io.Writer, t Table2Result) {
 // using this repository's prefetcher names.
 var Table3Prefetchers = []string{"epi", "djolt", "fnl-mma", "barca", "pips", "jip", "mana", "tap"}
 
+// table3Models lists the IPC-1 models of one Table 3 or ablation trace set:
+// the no-prefetcher baseline first, then the eight finalists.
+var table3Models = append([]string{"none"}, Table3Prefetchers...)
+
 // prefetcherDisplay maps implementation names to the paper's spellings.
 var prefetcherDisplay = map[string]string{
 	"epi": "EPI", "djolt": "D-JOLT", "fnl-mma": "FNL+MMA", "barca": "Barça",
@@ -147,165 +144,48 @@ type Table3Result struct {
 // Table3 re-runs the IPC-1 championship on both trace sets using the IPC-1
 // processor model. A nil suite means all 50 IPC-1 traces.
 //
-// Like RunSweep, Table3 consults cfg.Cache before every simulation:
-// generation and conversion are deferred into closures that only a cache
-// miss forces, so a fully-cached trace costs no simulation work at all.
+// Each trace contributes 18 cells — {competition, fixed} × {no prefetcher
+// + the eight finalists} — to the shared cell engine, so Table 3 runs on
+// the sweep's worker pool, result cache and slab store; a fully-cached
+// trace costs no generation, conversion or simulation at all.
 func Table3(cfg SweepConfig, suite []synth.IPC1Trace) (Table3Result, error) {
 	if err := cfg.fill(); err != nil {
 		return Table3Result{}, err
 	}
 	fixedOpts := core.OptionsAll()
 	fixedOpts.MemFootprint = false // footnote 4
-
-	type set struct {
-		name  string
-		opts  core.Options
-		rules champtrace.RuleSet
+	sets := []struct {
+		name string
+		opts core.Options
+	}{
+		{"competition", core.OptionsNone()},
+		{"fixed", fixedOpts},
 	}
-	sets := []set{
-		{"competition", core.OptionsNone(), rulesFor(core.OptionsNone())},
-		{"fixed", fixedOpts, rulesFor(fixedOpts)},
-	}
-
 	if suite == nil {
 		suite = synth.IPC1Suite()
 	}
-	// speedups[set][prefetcher] = per-trace IPC ratios
-	speedups := map[string]map[string][]float64{}
-	for _, s := range sets {
-		speedups[s.name] = map[string][]float64{}
-	}
-
-	for ti, trc := range suite {
-		// The trace is generated at most once, and converted at most once
-		// per set, no matter how many of the 18 simulations miss — and not
-		// at all when every simulation hits the cache. With a slab store
-		// the per-set conversion additionally resolves through the store,
-		// so a warm run skips it entirely.
-		var instrs []cvp.Instruction
-		generate := func() ([]cvp.Instruction, error) {
-			if instrs != nil {
-				return instrs, nil
-			}
-			var err error
-			instrs, err = trc.Profile.GenerateBatch(cfg.Instructions)
-			return instrs, err
-		}
+	// The set name ("competition"/"fixed") is each cell's variant label;
+	// the prefetcher identity column separates the nine models in a set.
+	var cells []cell
+	for ti := range suite {
 		for _, s := range sets {
-			err := func() error {
-				var src *champtrace.ValuesSource
-				var convStats core.Stats
-				var slab *tracestore.Slab
-				defer func() {
-					if slab != nil {
-						slab.Release()
-					}
-				}()
-				convert := func() error {
-					if src != nil {
-						return nil
-					}
-					if cfg.Slabs != nil {
-						sl, err := acquireSlab(cfg.Slabs, &trc.Profile, s.opts, cfg.Instructions, generate)
-						if err != nil {
-							return err
-						}
-						slab = sl
-						convStats = sl.Conv()
-						src = champtrace.NewValuesSource(sl.Records())
-						return nil
-					}
-					instrs, err := generate()
-					if err != nil {
-						return err
-					}
-					recs, cs, err := core.ConvertAllBatch(cvp.NewValuesSource(instrs), s.opts)
-					if err != nil {
-						return err
-					}
-					convStats = cs
-					src = champtrace.NewValuesSource(recs)
-					return nil
-				}
-				mkSource := func() (champtrace.Source, func() core.Stats, func()) {
-					src.Reset()
-					return src, func() core.Stats { return convStats }, func() {}
-				}
-				runOne := func(pf string) (Result, error) {
-					simCfg := sim.ConfigIPC1(pf, s.rules)
-					simCfg.NoCycleSkip = cfg.NoSkip
-					cfg.applySampling(&simCfg)
-					compute := func() (Result, error) {
-						if err := convert(); err != nil {
-							return Result{}, err
-						}
-						if cfg.Checkpoints != nil && simCfg.SamplePeriod > 0 && cfg.Warmup > 0 {
-							// Only the prefetcher-less baseline is checkpointable
-							// (stateful IPC-1 prefetchers lack snapshot support);
-							// the rest fall through to a plain sampled run.
-							k := checkpointKey(&trc.Profile, s.opts, simCfg, cfg.Instructions, cfg.Warmup)
-							res, ok, err := runCheckpointed(cfg.Checkpoints, cfg.ckptGate, k, mkSource, simCfg, cfg.Warmup)
-							if err != nil {
-								return Result{}, err
-							}
-							if ok {
-								return res, nil
-							}
-						}
-						src.Reset()
-						st, err := sim.Run(src, simCfg, cfg.Warmup, 0)
-						if err != nil {
-							return Result{}, err
-						}
-						return Result{IPC: st.IPC(), Sim: st, Conv: convStats}, nil
-					}
-					var res Result
-					var err error
-					var key resultcache.Key
-					if cfg.Cache != nil || cfg.Exp != nil {
-						key = cacheKey(&trc.Profile, s.opts, simCfg, cfg.Instructions, cfg.Warmup)
-					}
-					if cfg.Cache == nil {
-						res, err = compute()
-					} else {
-						res, err = cfg.Cache.GetOrCompute(key, compute)
-					}
-					if err == nil {
-						// The set name ("competition"/"fixed") is the cell's
-						// variant; the prefetcher identity column separates
-						// the nine models within a set.
-						cfg.recordCell(&trc.Profile, s.name, simCfg, key, res)
-					}
-					return res, err
-				}
-				base, err := runOne("none")
-				if err != nil {
-					return err
-				}
-				for _, pf := range Table3Prefetchers {
-					st, err := runOne(pf)
-					if err != nil {
-						return err
-					}
-					speedups[s.name][pf] = append(speedups[s.name][pf], st.IPC/base.IPC)
-				}
-				return nil
-			}()
-			if err != nil {
-				return Table3Result{}, err
+			for _, pf := range table3Models {
+				cells = append(cells, cell{ti: ti, label: s.name, opts: s.opts,
+					sim: cfg.dispatchConfig(sim.ConfigIPC1(pf, rulesFor(s.opts)))})
 			}
 		}
-		if cfg.Progress != nil {
-			cfg.Progress(ti+1, len(suite))
-		}
+	}
+	res, _, errs := runCells(suiteProfiles(suite), cells, &cfg)
+	if err := errors.Join(errs...); err != nil {
+		return Table3Result{}, err
 	}
 
-	rank := func(setName string) []Table3Entry {
+	rank := func(si int) []Table3Entry {
 		entries := make([]Table3Entry, 0, len(Table3Prefetchers))
-		for _, pf := range Table3Prefetchers {
+		for pi, pf := range Table3Prefetchers {
 			entries = append(entries, Table3Entry{
 				Prefetcher: prefetcherDisplay[pf],
-				Speedup:    stats.Geomean(speedups[setName][pf]),
+				Speedup:    stats.Geomean(speedups(res, len(suite), len(sets), si, pi)),
 			})
 		}
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Speedup > entries[j].Speedup })
@@ -314,7 +194,29 @@ func Table3(cfg SweepConfig, suite []synth.IPC1Trace) (Table3Result, error) {
 		}
 		return entries
 	}
-	return Table3Result{Competition: rank("competition"), Fixed: rank("fixed")}, nil
+	return Table3Result{Competition: rank(0), Fixed: rank(1)}, nil
+}
+
+// speedups returns, in trace order, the IPC ratios of prefetcher pi over
+// the no-prefetcher baseline in set si of a grid laid out trace × set ×
+// table3Models, as Table 3 and the front-end ablation are.
+func speedups(res []Result, traces, sets, si, pi int) []float64 {
+	per := len(table3Models)
+	out := make([]float64, traces)
+	for ti := range out {
+		base := (ti*sets + si) * per
+		out[ti] = res[base+1+pi].IPC / res[base].IPC
+	}
+	return out
+}
+
+// suiteProfiles returns the synthetic profiles of an IPC-1 suite.
+func suiteProfiles(suite []synth.IPC1Trace) []synth.Profile {
+	profiles := make([]synth.Profile, len(suite))
+	for i, tr := range suite {
+		profiles[i] = tr.Profile
+	}
+	return profiles
 }
 
 // RenderTable3 prints the IPC-1 ranking comparison.

@@ -211,8 +211,7 @@ func metaRegion(data []byte, h header) []byte {
 }
 
 // checkFooter validates the data CRC and end magic over a complete mapping.
-// It touches every page of the record region, which doubles as the
-// prefetch warm.
+// It touches every page of the record region.
 func checkFooter(data []byte, h header) bool {
 	end := h.fileSize()
 	if int64(len(data)) != end {

@@ -64,7 +64,8 @@ type Stats struct {
 	// WriteErrors counts persist failures; the converted slab is still
 	// served from the heap, so a read-only store degrades gracefully.
 	WriteErrors uint64 `json:"write_errors"`
-	// Prefetches counts slabs warmed ahead of use by Prefetch.
+	// Prefetches is always 0: slabs are mapped only on demand. It keeps
+	// the "prefetches" key that -bench-json consumers read.
 	Prefetches uint64 `json:"prefetches"`
 	// BytesMapped counts slab file bytes mapped from disk; BytesWritten
 	// counts slab file bytes persisted.
@@ -176,7 +177,7 @@ func (s *Store) Get(key Key) (*Slab, bool) {
 		return sl, true
 	}
 	s.mu.Unlock()
-	if sl := s.loadDisk(key, true); sl != nil {
+	if sl := s.loadDisk(key); sl != nil {
 		return sl, true
 	}
 	s.mu.Lock()
@@ -234,7 +235,7 @@ func (s *Store) GetOrConvert(key Key, convert ConvertFunc) (*Slab, error) {
 // returned slab carries the leader's reference and has been installed
 // resident.
 func (s *Store) fill(key Key, convert ConvertFunc) (*Slab, error) {
-	if sl := s.loadDisk(key, true); sl != nil {
+	if sl := s.loadDisk(key); sl != nil {
 		return sl, nil
 	}
 
@@ -254,8 +255,9 @@ func (s *Store) fill(key Key, convert ConvertFunc) (*Slab, error) {
 	sl := s.persist(key, recs, conv)
 	s.mu.Lock()
 	if prior, ok := s.open[key]; ok {
-		// A Prefetch mapped the just-persisted file before we installed the
-		// conversion result: adopt the resident mapping, drop ours.
+		// A concurrent Get mapped the just-persisted file before we
+		// installed the conversion result: adopt the resident mapping, drop
+		// ours.
 		s.ref(prior)
 		s.destroyLocked(sl)
 		s.mu.Unlock()
@@ -267,31 +269,12 @@ func (s *Store) fill(key Key, convert ConvertFunc) (*Slab, error) {
 	return sl, nil
 }
 
-// Prefetch warms the slab for key from disk — validating it touches every
-// page — so a subsequent GetOrConvert is a resident hit. It takes no
-// reference and converts nothing; a miss or corrupt slab is simply left
-// for the eventual GetOrConvert to resolve.
-func (s *Store) Prefetch(key Key) {
-	s.mu.Lock()
-	_, resident := s.open[key]
-	_, inFlight := s.flights[key]
-	s.mu.Unlock()
-	if resident || inFlight {
-		return
-	}
-	if s.loadDisk(key, false) != nil {
-		s.mu.Lock()
-		s.stats.Prefetches++
-		s.mu.Unlock()
-	}
-}
-
 // loadDisk maps and validates the slab file for key, installs it resident,
-// and (when ref is set) takes a caller reference. It returns nil on miss.
+// and takes a caller reference. It returns nil on miss.
 // Corrupt files are removed so they are reconverted, never served; foreign
 // files (other format version or architecture) are left in place for the
 // native writer to atomically replace.
-func (s *Store) loadDisk(key Key, ref bool) *Slab {
+func (s *Store) loadDisk(key Key) *Slab {
 	f, size, err := s.dir.Open(key)
 	if err != nil {
 		return nil
@@ -339,13 +322,11 @@ func (s *Store) loadDisk(key Key, ref bool) *Slab {
 	s.dir.Hit(key, size)
 	s.mu.Lock()
 	if prior, ok := s.open[key]; ok {
-		// Lost a race with another loader (Prefetch vs GetOrConvert): keep
-		// the installed mapping, drop ours.
-		if ref {
-			s.ref(prior)
-			s.stats.Hits++
-			s.stats.MemHits++
-		}
+		// Lost a race with another loader (Get vs GetOrConvert): keep the
+		// installed mapping, drop ours.
+		s.ref(prior)
+		s.stats.Hits++
+		s.stats.MemHits++
 		s.mu.Unlock()
 		frame.Unmap(sl.data)
 		return prior
@@ -354,9 +335,7 @@ func (s *Store) loadDisk(key Key, ref bool) *Slab {
 	s.stats.DiskHits++
 	s.stats.BytesMapped += uint64(size)
 	s.install(sl)
-	if ref {
-		s.ref(sl)
-	}
+	s.ref(sl)
 	s.mu.Unlock()
 	return sl
 }

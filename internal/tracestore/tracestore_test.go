@@ -486,43 +486,6 @@ func TestVanishedSlabUnindexed(t *testing.T) {
 	}
 }
 
-func TestPrefetchWarmsResident(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey(30)
-	s := mustOpen(t, Config{Dir: dir})
-	sl, err := s.GetOrConvert(key, converterFor(100, 30, nil))
-	if err != nil {
-		t.Fatalf("seed: %v", err)
-	}
-	sl.Release()
-	s.Close()
-
-	s2 := mustOpen(t, Config{Dir: dir})
-	s2.Prefetch(key)
-	st := s2.Stats()
-	if st.Prefetches != 1 || st.DiskHits != 1 {
-		t.Fatalf("prefetch stats: %+v", st)
-	}
-	// The subsequent lookup is a resident hit, not a disk load.
-	var calls atomic.Int64
-	sl2, err := s2.GetOrConvert(key, converterFor(100, 30, &calls))
-	if err != nil {
-		t.Fatalf("GetOrConvert: %v", err)
-	}
-	sl2.Release()
-	if calls.Load() != 0 {
-		t.Fatalf("prefetched slab reconverted")
-	}
-	if st := s2.Stats(); st.MemHits != 1 {
-		t.Fatalf("post-prefetch stats: %+v", st)
-	}
-	// Prefetch of a missing key is a quiet no-op.
-	s2.Prefetch(testKey(31))
-	if st := s2.Stats(); st.Prefetches != 1 {
-		t.Fatalf("missing-key prefetch counted: %+v", st)
-	}
-}
-
 func TestWriteFailureDegradesToHeap(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Config{Dir: dir})

@@ -66,10 +66,10 @@ func TestSlabCrossProcess(t *testing.T) {
 	if coldHits != 0 || coldConverts == 0 || coldConverts != coldMisses {
 		t.Fatalf("cold run: %d hits, %d misses, %d converts; want 0 hits and one convert per miss", coldHits, coldMisses, coldConverts)
 	}
-	// A prefetched slab counts one disk hit when mapped and a mem hit at
-	// use, and a slab evicted from residency before use is re-mapped, so
-	// exact hit counts vary; the invariants are zero misses and zero
-	// conversions — every record the warm process simulated came off disk.
+	// Cells of one slab after the first count mem hits, and a slab evicted
+	// from residency before use is re-mapped, so exact hit counts vary; the
+	// invariants are zero misses and zero conversions — every record the
+	// warm process simulated came off disk.
 	warmHits, warmDisk, warmMisses, warmConverts := parse(warmErr)
 	if warmConverts != 0 || warmMisses != 0 || warmDisk < coldConverts {
 		t.Fatalf("warm run: %d hits (%d disk), %d misses, %d converts; want >=%d disk hits, 0 misses, 0 converts",
