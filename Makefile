@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build vet test test-race conformance fuzz-smoke bench-smoke bench bench-compare bench-cache bench-slabs serve bench-serve bench-query
+.PHONY: build vet test test-race conformance fuzz-smoke bench-smoke bench bench-compare bench-cache bench-slabs serve bench-serve
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,7 @@ fuzz-smoke:
 	$(GO) test ./internal/conformance -run '^$$' -fuzz '^FuzzChampTraceDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run '^$$' -fuzz '^FuzzConvert$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run '^$$' -fuzz '^FuzzExpBlockDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/conformance -run '^$$' -fuzz '^FuzzQueryParse$$' -fuzztime $(FUZZTIME)
 
 # A fast allocation check of the hot convert+simulate path: the streaming
 # source must stay well below the materializing baseline, and a resident
@@ -78,15 +79,6 @@ serve:
 # EXPERIMENTS.md "Service latency benchmark workflow".
 bench-serve:
 	bash perfbench/run.sh --workload serve --seed 1 --seconds 10 --trace 0
-
-# Experiment-store query benchmark: populate a fresh store with the full
-# -exp all matrix, then compare block-pruned queries against -full-scan
-# baselines — identical rows required, with an aggregate bytes-read ratio
-# of at least 5x. Emits BENCH_10.json. See EXPERIMENTS.md "Query benchmark
-# workflow".
-QUERY_REPEATS ?= 10
-bench-query:
-	scripts/bench_query.sh $(STEP) $(QUERY_REPEATS)
 
 # Slab-cold/slab-warm pair with the result cache disabled, so every
 # simulation recomputes and the delta isolates the compiled-trace store

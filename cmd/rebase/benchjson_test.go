@@ -51,16 +51,21 @@ func TestBenchJSONStoreBlocks(t *testing.T) {
 			}
 		}
 	}
-	// A cold run over empty stores computes, converts and appends.
+	// A cold run over empty stores computes, converts and appends, and
+	// the record counts the appended cells as written even under -q.
 	var counts struct {
 		Cache      struct{ Misses uint64 }
 		TraceStore struct{ Converts uint64 } `json:"trace_store"`
-		ExpStore   struct{ Appends uint64 }  `json:"exp_store"`
+		ExpStore   struct {
+			Appends      uint64
+			CellsWritten uint64 `json:"cells_written"`
+		} `json:"exp_store"`
 	}
 	if err := json.Unmarshal(data, &counts); err != nil {
 		t.Fatal(err)
 	}
-	if counts.Cache.Misses == 0 || counts.TraceStore.Converts == 0 || counts.ExpStore.Appends != counts.Cache.Misses {
-		t.Errorf("cold run counters %+v: want misses > 0, converts > 0, appends == misses", counts)
+	if counts.Cache.Misses == 0 || counts.TraceStore.Converts == 0 ||
+		counts.ExpStore.Appends != counts.Cache.Misses || counts.ExpStore.CellsWritten != counts.ExpStore.Appends {
+		t.Errorf("cold run counters %+v: want misses > 0, converts > 0, appends == misses == cells written", counts)
 	}
 }

@@ -26,8 +26,8 @@
 //
 //	rebase query 'category=srv variant=all,none metric=ipc group-by=rob stat=p50,p99'
 //
-// prunes blocks on footer statistics and materializes only the referenced
-// columns; see `rebase query -h` for the query language.
+// filters and aggregates over the store's in-memory index of cells; see
+// `rebase query -h` for the query language.
 //
 // For performance work, -cpuprofile and -memprofile write pprof profiles
 // covering the whole run, and -bench-json records the wall-clock,
@@ -351,6 +351,14 @@ func run() (code int) {
 	}
 	skipCats, sampleCats := tel.Skip, tel.Sample
 	elapsed := time.Since(start)
+	if cfg.Exp != nil {
+		// Read-back does not flush, so flush pending cells here: the
+		// trailer and -bench-json then report what this run persisted
+		// (Close would flush them anyway).
+		if err := cfg.Exp.Flush(); err != nil {
+			fmt.Fprintf(os.Stderr, "rebase: experiment store flush: %v\n", err)
+		}
+	}
 	if !*quiet {
 		if len(skipCats) > 0 {
 			parts := make([]string, 0, len(skipCats))
@@ -380,11 +388,6 @@ func run() (code int) {
 		}
 		printSlabStats(cfg.Slabs)
 		if cfg.Exp != nil {
-			// Flush pending cells so the trailer reports what this run
-			// actually persisted (Close would flush them anyway).
-			if err := cfg.Exp.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "rebase: experiment store flush: %v\n", err)
-			}
 			s := cfg.Exp.Stats()
 			fmt.Fprintf(os.Stderr, "exp-store: %d cells appended (%d dup), %d read-back misses, %d blocks written, %d compactions, %d corrupt, %.1f MB written (%s)\n",
 				s.Appends, s.DupSkipped, expMisses, s.BlocksWritten, s.Compactions, s.Corrupt,

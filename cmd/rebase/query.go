@@ -21,17 +21,16 @@ import (
 // numeric column to aggregate (default ipc), `group-by` a comma-separated
 // list of string/integer columns to group on, `stat` the aggregates
 // (count, sum, mean, geomean, min, max, p50, p90, p95, p99); every other
-// token filters a column against a comma-separated value set. Blocks
-// whose footer statistics cannot match the filters are pruned without
-// reading their data, and only the referenced columns of the surviving
-// blocks are materialized; -full-scan forces the brute-force path that
-// decodes every block (identical rows, for verification and benchmarks).
+// token filters a column against a comma-separated value set. The query
+// runs over the store's in-memory index, loaded once from the block
+// files; -full-scan forces the reference path that decodes every block
+// from disk instead (identical rows, for verification).
 func runQuery(args []string) int {
 	fs := flag.NewFlagSet("rebase query", flag.ExitOnError)
 	var (
 		storeDir = fs.String("store-dir", "", "experiment store directory (default <cache dir>/exp)")
 		jsonOut  = fs.Bool("json", false, "emit the result as JSON instead of a text table")
-		fullScan = fs.Bool("full-scan", false, "decode every block instead of pruning on footer stats (verification baseline)")
+		fullScan = fs.Bool("full-scan", false, "decode every block from disk instead of the in-memory index")
 		quiet    = fs.Bool("q", false, "suppress corrupt/foreign-block warnings")
 	)
 	fs.Parse(args)

@@ -10,6 +10,7 @@ import (
 	"tracerebase/internal/champtrace"
 	"tracerebase/internal/cvp"
 	"tracerebase/internal/expstore"
+	"tracerebase/internal/report"
 	"tracerebase/internal/synth"
 )
 
@@ -195,6 +196,71 @@ func FuzzExpBlockDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(cells, again) {
 			t.Fatal("decoding the same block twice gave different cells")
+		}
+	})
+}
+
+// seedQueryStore opens a store over a small fabricated matrix spread
+// across several blocks, for the query-language fuzzer.
+func seedQueryStore(f *testing.F) *expstore.Store {
+	f.Helper()
+	store, err := expstore.Open(expstore.Config{Dir: f.TempDir(), BlockCells: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { store.Close() })
+	cats := []string{"srv", "crypto", "compute_int"}
+	variants := []string{"All_imps", "No_imp", "Memory_imps", "Branch_imps"}
+	for i := 0; i < 14; i++ {
+		c := expstore.Cell{
+			Category: cats[i%3], Variant: variants[i%4],
+			Config: []string{"develop", "ipc1"}[i%2], Prefetcher: []string{"none", "epi", "djolt"}[i%3],
+			ROB: uint64(128 << (i % 3)), Cores: 1, SamplePeriod: uint64(i%2) * 12500,
+			Instructions: 4000, Warmup: 500, IPC: 0.25 + float64(i)/8,
+		}
+		c.Trace = c.Category + "_" + string(rune('0'+i%4))
+		c.Key[0], c.Key[1] = byte(i), 0xa5
+		c.Sim.Cycles = uint64(3000 + 97*i)
+		c.Sim.L1I.Misses = uint64(i * i)
+		c.Sim.SampleIPCMean = float64(i%5) / 3
+		if err := store.Append(c); err != nil {
+			f.Fatal(err)
+		}
+	}
+	return store
+}
+
+// FuzzQueryParse checks the query language, which the daemon accepts over
+// HTTP at GET /query: any input must parse or fail without a panic, and a
+// query that parses must give the same rows from the in-memory index as
+// from a full scan of the blocks on disk.
+func FuzzQueryParse(f *testing.F) {
+	for _, q := range []string{
+		"",
+		"trace=compute_int_0 variant=All_imps stat=mean",
+		"category=srv variant=all,none metric=ipc group-by=rob stat=p50,p99",
+		"config=ipc1 group-by=prefetcher stat=count,mean",
+		"metric=ipc group-by=variant stat=p50",
+		"group-by=trace,rob,sample_period stat=count,sum,mean,geomean,min,max,p50,p90,p95,p99",
+		"metric=sample_ipc_mean variant=memory,branch ipc=0.25,0.375",
+		"rob=128,512 metric=l1i_misses group-by=category,config",
+		"key=00a5000000000000000000000000000000000000000000000000000000000000",
+		"rob=-1", "ipc=x", "key=zz", "group-by=ipc", "stat=median", "a=b=c", "=x", "variant=,",
+	} {
+		f.Add(q)
+	}
+	store := seedQueryStore(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		index, err := report.Query(store, src, false)
+		full, ferr := report.Query(store, src, true)
+		if (err == nil) != (ferr == nil) {
+			t.Fatalf("%q: index error %v, full-scan error %v", src, err, ferr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(index.Rows, full.Rows) {
+			t.Fatalf("%q: index rows %+v differ from full scan %+v", src, index.Rows, full.Rows)
 		}
 	})
 }

@@ -188,9 +188,9 @@ func SelfTest(cfg SelfTestConfig) error {
 	// cell to the columnar store and read their results back out of it —
 	// cold, warm (second process, full dedup), and with a block corrupted
 	// on disk — must render byte-identically to the store-off engine, with
-	// damaged blocks discarded, warned about, and their cells re-appended
-	// by the next sweep; pruned queries must match the brute-force scan.
-	r.run(fmt.Sprintf("exp store: store-off vs cold vs warm vs corrupted sweeps of %d traces byte-identical, pruned query == full scan",
+	// damaged blocks discarded, warned about, and their cells re-appended;
+	// queries over the in-memory index must match a full scan from disk.
+	r.run(fmt.Sprintf("exp store: store-off vs cold vs warm vs corrupted sweeps of %d traces byte-identical, index query == full scan",
 		len(resultCacheProfiles)), func() error {
 		return CheckExpStoreTransparency(resultCacheProfiles, cfg.SimInstructions, cfg.Warmup)
 	})

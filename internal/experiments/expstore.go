@@ -72,10 +72,9 @@ func (c SweepConfig) CellKey(p synth.Profile, v Variant) (resultcache.Key, error
 // copies: after a sweep has appended (or deduped against) every cell, the
 // cells are fetched back by content key and replace the engine's own
 // values, making the figure pipeline the store's first consumer. Cells the
-// store cannot produce (an earlier write failure, a just-dropped corrupt
-// block) fall back to the in-memory result with a warning; the returned
-// count is the number of such misses, which the store-transparency oracle
-// pins to zero.
+// store cannot produce (an append refused by a closed store) fall back to
+// the in-memory result with a warning; the returned count is the number
+// of such misses, which the store-transparency oracle pins to zero.
 func storeReadBack(cfg *SweepConfig, out []TraceResult) (int, error) {
 	type slot struct {
 		ti   int

@@ -5,27 +5,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
-	"unsafe"
 
 	"tracerebase/internal/frame"
 )
 
 const (
-	// blockHeaderSize is one page: column data starts page-aligned so the
-	// mmap view serves fixed-width columns as zero-copy slices with natural
-	// alignment.
-	blockHeaderSize = 4096
-
 	blockMagic  = "EXPB"
 	footerMagic = "EXPF"
 
-	// colAlign is the alignment of every column data region, so float64
-	// columns can be viewed in place.
-	colAlign = 8
+	blockHeaderCRCOff = 64
+	// blockHeaderSize is the fixed header: its fields plus their CRC.
+	blockHeaderSize = blockHeaderCRCOff + 4
 )
 
-// blockHeader is the decoded form of the fixed 4 KiB block header.
+// blockHeader is the decoded form of the fixed block header.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -36,23 +29,14 @@ const (
 //	[48:56)  footer offset (u64)
 //	[56:64)  footer length (u64)
 //	[64:68)  CRC-32C of bytes [0:64) (u32)
-//	[68:4096) zero padding to the page boundary
 //
-// Column data regions follow from offset 4096, each 8-byte aligned, in
-// schema order; the frame-encoded footer closes the file.
+// The column data regions follow back to back in schema order, and the
+// frame-encoded footer closes the file.
 type blockHeader struct {
 	cells     int
 	footerOff int64
 	footerLen int64
 }
-
-const blockHeaderCRCOff = 64
-
-// blockCheckedLen is the portion of the header page a reader actually
-// parses and checksums: the fixed fields plus their CRC. The rest of the
-// page is alignment padding and is never examined, so byte-read accounting
-// charges only this much per header.
-const blockCheckedLen = blockHeaderCRCOff + 4
 
 func encodeBlockHeader(h blockHeader) []byte {
 	buf := make([]byte, blockHeaderSize)
@@ -63,7 +47,7 @@ func encodeBlockHeader(h blockHeader) []byte {
 	binary.LittleEndian.PutUint64(buf[48:56], uint64(h.footerOff))
 	binary.LittleEndian.PutUint64(buf[56:64], uint64(h.footerLen))
 	crc := frame.Checksum(buf[:blockHeaderCRCOff])
-	binary.LittleEndian.PutUint32(buf[blockHeaderCRCOff:blockHeaderCRCOff+4], crc)
+	binary.LittleEndian.PutUint32(buf[blockHeaderCRCOff:], crc)
 	return buf
 }
 
@@ -87,7 +71,7 @@ func parseBlockHeader(buf []byte, fileSize int64) (blockHeader, blockVerdict) {
 		return h, blockCorrupt
 	}
 	crc := frame.Checksum(buf[:blockHeaderCRCOff])
-	if binary.LittleEndian.Uint32(buf[blockHeaderCRCOff:blockHeaderCRCOff+4]) != crc {
+	if binary.LittleEndian.Uint32(buf[blockHeaderCRCOff:]) != crc {
 		return h, blockCorrupt
 	}
 	if binary.LittleEndian.Uint32(buf[4:8]) != FormatVersion {
@@ -111,330 +95,66 @@ func parseBlockHeader(buf []byte, fileSize int64) (blockHeader, blockVerdict) {
 	return h, blockOK
 }
 
-// colMeta is one column's footer entry: where its data region lives, its
-// CRC, and the kind-specific pruning statistics.
-type colMeta struct {
-	off, length int64
-	crc         uint32
-	// uint / float statistics (float stored as IEEE-754 bits).
-	minU, maxU uint64
-	// key statistics.
-	minK, maxK Key
-	// dictionary, sorted ascending; indices in the data region refer to
-	// this order. Doubles as the pruning statistic.
-	dict []string
-}
-
-// blockMeta is the footer's block-level dedup lineage: enough provenance
-// for a query to prove a set of scanned blocks cannot contain duplicate
-// content keys, and skip materializing the 32-byte key column entirely.
-//
-//   - runID identifies the writer run: blocks from one run are mutually
-//     dup-free because the writer's seen-set dedups every append.
-//   - baseSeq is the writer's view horizon: every block with a smaller
-//     sequence number existed when the run started, so its keys were loaded
-//     into the seen-set and the run's blocks are dup-free against it.
-//   - srcMin/srcMax (compaction outputs only) are the sequence range the
-//     output's cells came from. A crash between publishing the output and
-//     removing its inputs leaves both on disk; the overlapping ranges flag
-//     the pair as dup-suspect so query dedup engages.
-//   - mayDup marks a block that itself holds duplicate keys (a compaction
-//     output whose inputs were such crash leftovers).
-type blockMeta struct {
-	runID          uint64
-	baseSeq        uint64
-	srcMin, srcMax uint64
-	hasSrc         bool
-	mayDup         bool
-}
-
-const (
-	footerFlagMayDup   = 1 << 0
-	footerFlagSrcRange = 1 << 1
-)
-
-// footer payload layout, wrapped in a frame.Encode record with magic
-// "EXPF" and the schema key. Column names and kinds are not repeated here:
-// the schema key in the frame and the block header already pins them, so
-// the directory stores only geometry and statistics, mostly as uvarints —
-// footers are read for every block a query considers, pruned or not, and
-// their size is the floor of a selective query's byte cost.
-//
-//	u8  flags (bit 0 mayDup, bit 1 has source range)
-//	u64 writer run ID (little-endian)
-//	uv  base sequence
-//	[flag bit 1] uv source-min sequence, uv source range width
-//	uv  column count (must equal the schema's)
-//	per column, in schema order:
-//	  uv data offset, uv data length (byte region within the file)
-//	  u32 CRC-32C of the data region (little-endian)
-//	  kind-specific stats:
-//	    uint:  uv min, uv max-min
-//	    float: u64 min bits, u64 max bits (little-endian)
-//	    key:   32-byte min, 32-byte max
-//	    dict:  uv n, then n × (uv length, bytes), sorted ascending
-func encodeFooterPayload(bm blockMeta, metas []colMeta) []byte {
-	var b []byte
-	var flags byte
-	if bm.mayDup {
-		flags |= footerFlagMayDup
-	}
-	if bm.hasSrc {
-		flags |= footerFlagSrcRange
-	}
-	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, bm.runID)
-	b = binary.AppendUvarint(b, bm.baseSeq)
-	if bm.hasSrc {
-		b = binary.AppendUvarint(b, bm.srcMin)
-		b = binary.AppendUvarint(b, bm.srcMax-bm.srcMin)
-	}
-	b = binary.AppendUvarint(b, uint64(len(metas)))
-	for i, m := range metas {
-		c := columns[i]
-		b = binary.AppendUvarint(b, uint64(m.off))
-		b = binary.AppendUvarint(b, uint64(m.length))
-		b = binary.LittleEndian.AppendUint32(b, m.crc)
-		switch c.kind {
-		case kindUint:
-			b = binary.AppendUvarint(b, m.minU)
-			b = binary.AppendUvarint(b, m.maxU-m.minU)
-		case kindFloat:
-			b = binary.LittleEndian.AppendUint64(b, m.minU)
-			b = binary.LittleEndian.AppendUint64(b, m.maxU)
-		case kindKey:
-			b = append(b, m.minK[:]...)
-			b = append(b, m.maxK[:]...)
-		case kindDict:
-			b = binary.AppendUvarint(b, uint64(len(m.dict)))
-			for _, s := range m.dict {
-				b = binary.AppendUvarint(b, uint64(len(s)))
-				b = append(b, s...)
-			}
-		}
-	}
-	return b
-}
-
-// decodeFooterPayload parses and validates a footer payload against the
-// compiled schema and the block geometry. Every field is bounds-checked:
-// this path is fuzzed with arbitrary bytes.
-func decodeFooterPayload(b []byte, h blockHeader) (blockMeta, []colMeta, error) {
-	cur := b
-	uv := func() (uint64, bool) {
-		v, n := binary.Uvarint(cur)
-		if n <= 0 {
-			return 0, false
-		}
-		cur = cur[n:]
-		return v, true
-	}
-	u32 := func() (uint32, bool) {
-		if len(cur) < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(cur)
-		cur = cur[4:]
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if len(cur) < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(cur)
-		cur = cur[8:]
-		return v, true
-	}
-	take := func(n int) ([]byte, bool) {
-		if n < 0 || len(cur) < n {
-			return nil, false
-		}
-		v := cur[:n]
-		cur = cur[n:]
-		return v, true
-	}
-	var bm blockMeta
-	fail := func(format string, args ...any) (blockMeta, []colMeta, error) {
-		return bm, nil, fmt.Errorf("%w: footer: %s", frame.ErrCorrupt, fmt.Sprintf(format, args...))
-	}
-
-	flagb, ok := take(1)
-	if !ok {
-		return fail("truncated at flags")
-	}
-	if flagb[0]&^(footerFlagMayDup|footerFlagSrcRange) != 0 {
-		return fail("unknown flags %02x", flagb[0])
-	}
-	bm.mayDup = flagb[0]&footerFlagMayDup != 0
-	bm.hasSrc = flagb[0]&footerFlagSrcRange != 0
-	run, ok1 := u64()
-	base, ok2 := uv()
-	if !ok1 || !ok2 {
-		return fail("truncated at writer lineage")
-	}
-	bm.runID, bm.baseSeq = run, base
-	if bm.hasSrc {
-		lo, ok1 := uv()
-		width, ok2 := uv()
-		if !ok1 || !ok2 || width > math.MaxUint64-lo {
-			return fail("bad source sequence range")
-		}
-		bm.srcMin, bm.srcMax = lo, lo+width
-	}
-	n, ok := uv()
-	if !ok || int(n) != len(columns) {
-		return fail("%d columns, schema has %d", n, len(columns))
-	}
-	metas := make([]colMeta, len(columns))
-	for i := range columns {
-		c := &columns[i]
-		off, ok1 := uv()
-		length, ok2 := uv()
-		crc, ok3 := u32()
-		if !ok1 || !ok2 || !ok3 {
-			return fail("truncated at column %q geometry", c.name)
-		}
-		if off < blockHeaderSize || off%colAlign != 0 ||
-			off > uint64(h.footerOff) || length > uint64(h.footerOff) ||
-			off+length > uint64(h.footerOff) {
-			return fail("column %q region [%d,+%d) outside data area", c.name, off, length)
-		}
-		m := &metas[i]
-		m.off, m.length, m.crc = int64(off), int64(length), crc
-		switch c.kind {
-		case kindUint:
-			mn, ok1 := uv()
-			width, ok2 := uv()
-			if !ok1 || !ok2 || width > math.MaxUint64-mn {
-				return fail("bad column %q stats", c.name)
-			}
-			m.minU, m.maxU = mn, mn+width
-		case kindFloat:
-			mn, ok1 := u64()
-			mx, ok2 := u64()
-			if !ok1 || !ok2 {
-				return fail("truncated at column %q stats", c.name)
-			}
-			m.minU, m.maxU = mn, mx
-			if int(length) != h.cells*8 {
-				return fail("float column %q length %d, want %d", c.name, length, h.cells*8)
-			}
-		case kindKey:
-			mn, ok1 := take(KeyBytes)
-			mx, ok2 := take(KeyBytes)
-			if !ok1 || !ok2 {
-				return fail("truncated at column %q stats", c.name)
-			}
-			copy(m.minK[:], mn)
-			copy(m.maxK[:], mx)
-			if int(length) != h.cells*KeyBytes {
-				return fail("key column %q length %d, want %d", c.name, length, h.cells*KeyBytes)
-			}
-		case kindDict:
-			dn, ok := uv()
-			if !ok || dn == 0 || dn > uint64(h.cells) {
-				return fail("column %q dictionary size %d for %d cells", c.name, dn, h.cells)
-			}
-			dict := make([]string, dn)
-			for j := range dict {
-				sl, ok := uv()
-				if !ok {
-					return fail("truncated in column %q dictionary", c.name)
-				}
-				sb, ok := take(int(sl))
-				if !ok {
-					return fail("truncated in column %q dictionary", c.name)
-				}
-				dict[j] = string(sb)
-				if j > 0 && dict[j] <= dict[j-1] {
-					return fail("column %q dictionary not sorted", c.name)
-				}
-			}
-			m.dict = dict
-		}
-	}
-	if len(cur) != 0 {
-		return fail("%d trailing bytes", len(cur))
-	}
-	return bm, metas, nil
-}
-
 // KeyBytes is the width of a cell content key.
 const KeyBytes = 32
 
-// encodeBlock lays out cells as one complete block file image. Cells are
-// written in the order given; callers sort batches by identity columns
-// first so footer statistics are tight.
-func encodeBlock(cells []Cell, bm blockMeta) ([]byte, error) {
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("expstore: empty block")
-	}
-	metas := make([]colMeta, len(columns))
-	var data []byte // column regions, offset blockHeaderSize in the file
+// encodeBlock lays out a non-empty batch of cells as one complete block
+// file image, in the order given.
+//
+// The footer is a frame.Encode record (magic "EXPF", the schema key)
+// whose payload is:
+//
+//	u32 CRC-32C of the column data regions (little-endian)
+//	per column, in schema order:
+//	  uv  data region length
+//	  dict columns only: uv n, then n × (uv length, bytes), in order of
+//	  first appearance; the data region indexes this list
+func encodeBlock(cells []Cell) []byte {
+	var data, foot []byte
 	for i := range columns {
 		c := &columns[i]
-		for len(data)%colAlign != 0 {
-			data = append(data, 0)
-		}
 		start := len(data)
-		m := &metas[i]
+		var dict []string
 		switch c.kind {
 		case kindDict:
-			seen := make(map[string]struct{})
+			idx := make(map[string]uint64)
 			for k := range cells {
-				seen[*c.str(&cells[k])] = struct{}{}
+				s := *c.str(&cells[k])
+				j, ok := idx[s]
+				if !ok {
+					j = uint64(len(dict))
+					idx[s] = j
+					dict = append(dict, s)
+				}
+				data = binary.AppendUvarint(data, j)
 			}
-			dict := make([]string, 0, len(seen))
-			for s := range seen {
-				dict = append(dict, s)
-			}
-			sort.Strings(dict)
-			idx := make(map[string]uint64, len(dict))
-			for j, s := range dict {
-				idx[s] = uint64(j)
-			}
-			for k := range cells {
-				data = binary.AppendUvarint(data, idx[*c.str(&cells[k])])
-			}
-			m.dict = dict
 		case kindUint:
 			var prev uint64
-			m.minU, m.maxU = math.MaxUint64, 0
 			for k := range cells {
 				v := *c.u64(&cells[k])
 				data = binary.AppendUvarint(data, zigzag(v-prev))
 				prev = v
-				m.minU = min(m.minU, v)
-				m.maxU = max(m.maxU, v)
 			}
 		case kindFloat:
-			mn, mx := math.Inf(1), math.Inf(-1)
 			for k := range cells {
-				v := *c.f64(&cells[k])
-				data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
-				mn = math.Min(mn, v)
-				mx = math.Max(mx, v)
+				data = binary.LittleEndian.AppendUint64(data, math.Float64bits(*c.f64(&cells[k])))
 			}
-			m.minU, m.maxU = math.Float64bits(mn), math.Float64bits(mx)
 		case kindKey:
-			m.minK = *c.ckey(&cells[0])
-			m.maxK = m.minK
 			for k := range cells {
-				key := *c.ckey(&cells[k])
-				data = append(data, key[:]...)
-				if bytes.Compare(key[:], m.minK[:]) < 0 {
-					m.minK = key
-				}
-				if bytes.Compare(key[:], m.maxK[:]) > 0 {
-					m.maxK = key
-				}
+				data = append(data, c.ckey(&cells[k])[:]...)
 			}
 		}
-		m.off = int64(blockHeaderSize + start)
-		m.length = int64(len(data) - start)
-		m.crc = frame.Checksum(data[start:])
+		foot = binary.AppendUvarint(foot, uint64(len(data)-start))
+		if c.kind == kindDict {
+			foot = binary.AppendUvarint(foot, uint64(len(dict)))
+			for _, s := range dict {
+				foot = binary.AppendUvarint(foot, uint64(len(s)))
+				foot = append(foot, s...)
+			}
+		}
 	}
-	footer := frame.Encode(footerMagic, FormatVersion, schemaKey, encodeFooterPayload(bm, metas))
+	payload := binary.LittleEndian.AppendUint32(nil, frame.Checksum(data))
+	footer := frame.Encode(footerMagic, FormatVersion, schemaKey, append(payload, foot...))
 	h := blockHeader{
 		cells:     len(cells),
 		footerOff: int64(blockHeaderSize + len(data)),
@@ -443,8 +163,7 @@ func encodeBlock(cells []Cell, bm blockMeta) ([]byte, error) {
 	out := make([]byte, 0, blockHeaderSize+len(data)+len(footer))
 	out = append(out, encodeBlockHeader(h)...)
 	out = append(out, data...)
-	out = append(out, footer...)
-	return out, nil
+	return append(out, footer...)
 }
 
 func zigzag(d uint64) uint64 {
@@ -455,175 +174,109 @@ func unzigzag(z uint64) uint64 {
 	return uint64((int64(z) >> 1) ^ -(int64(z) & 1))
 }
 
-// openBlock validates the header and footer of a complete block image and
-// returns the parsed block metadata and column directory. The error
-// distinguishes foreign from corrupt via the verdict.
-func openBlock(buf []byte) (blockHeader, blockMeta, []colMeta, blockVerdict, error) {
-	h, v := parseBlockHeader(buf, int64(len(buf)))
-	if v != blockOK {
-		return h, blockMeta{}, nil, v, fmt.Errorf("%w: block header", frame.ErrCorrupt)
-	}
-	payload, err := frame.Decode(footerMagic, FormatVersion, schemaKey, buf[h.footerOff:h.footerOff+h.footerLen])
-	if err != nil {
-		return h, blockMeta{}, nil, blockCorrupt, err
-	}
-	bm, metas, err := decodeFooterPayload(payload, h)
-	if err != nil {
-		return h, bm, nil, blockCorrupt, err
-	}
-	return h, bm, metas, blockOK, nil
+// cursor reads untrusted bytes front to back. A read past the end marks
+// the cursor bad and returns zero values instead of panicking.
+type cursor struct {
+	b   []byte
+	bad bool
 }
 
-// colRegion returns a column's checked data region within the mapping.
-func colRegion(buf []byte, m *colMeta) ([]byte, error) {
-	region := buf[m.off : m.off+m.length]
-	if got := frame.Checksum(region); got != m.crc {
-		return nil, fmt.Errorf("%w: column checksum %08x, want %08x", frame.ErrCorrupt, got, m.crc)
+func (r *cursor) next(n uint64) []byte {
+	if r.bad || n > uint64(len(r.b)) {
+		r.bad = true
+		return nil
 	}
-	return region, nil
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
 }
 
-// materializeDict decodes a dictionary column to per-cell dictionary
-// indices. The dictionary itself lives in the footer meta.
-func materializeDict(buf []byte, m *colMeta, cells int) ([]uint32, error) {
-	region, err := colRegion(buf, m)
-	if err != nil {
-		return nil, err
+func (r *cursor) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.bad = true
+		return 0
 	}
-	out := make([]uint32, cells)
-	for i := range out {
-		v, n := binary.Uvarint(region)
-		if n <= 0 || v >= uint64(len(m.dict)) {
-			return nil, fmt.Errorf("%w: bad dictionary index at cell %d", frame.ErrCorrupt, i)
-		}
-		out[i] = uint32(v)
-		region = region[n:]
-	}
-	if len(region) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in dictionary column", frame.ErrCorrupt, len(region))
-	}
-	return out, nil
+	r.b = r.b[n:]
+	return v
 }
 
-// materializeUint decodes a zigzag-delta column to per-cell values.
-func materializeUint(buf []byte, m *colMeta, cells int) ([]uint64, error) {
-	region, err := colRegion(buf, m)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, cells)
-	var prev uint64
-	for i := range out {
-		z, n := binary.Uvarint(region)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad varint at cell %d", frame.ErrCorrupt, i)
-		}
-		prev += unzigzag(z)
-		out[i] = prev
-		region = region[n:]
-	}
-	if len(region) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in uint column", frame.ErrCorrupt, len(region))
-	}
-	return out, nil
-}
+// done reports whether every byte was read and none was missing.
+func (r *cursor) done() bool { return !r.bad && len(r.b) == 0 }
 
-// nativeLE reports whether the host is little-endian, probed once; on LE
-// hosts fixed-width columns are served zero-copy from the mapping.
-var nativeLE = func() bool {
-	probe := uint64(0x01)
-	return *(*byte)(unsafe.Pointer(&probe)) == 0x01
-}()
-
-// materializeFloat returns a column's float64 values. On little-endian
-// hosts the returned slice aliases the mapping (the 8-byte alignment of
-// column regions over the page-aligned header makes the view exact); other
-// hosts decode a copy.
-func materializeFloat(buf []byte, m *colMeta, cells int) ([]float64, error) {
-	region, err := colRegion(buf, m)
-	if err != nil {
-		return nil, err
-	}
-	if len(region) != cells*8 {
-		return nil, fmt.Errorf("%w: float column length %d, want %d", frame.ErrCorrupt, len(region), cells*8)
-	}
-	if cells == 0 {
-		return nil, nil
-	}
-	if nativeLE && uintptr(unsafe.Pointer(&region[0]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&region[0])), cells), nil
-	}
-	out := make([]float64, cells)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(region[i*8:]))
-	}
-	return out, nil
-}
-
-// materializeKeys returns a column's 32-byte keys, zero-copy from the
-// mapping (byte arrays have no alignment or endianness constraints).
-func materializeKeys(buf []byte, m *colMeta, cells int) ([]Key, error) {
-	region, err := colRegion(buf, m)
-	if err != nil {
-		return nil, err
-	}
-	if len(region) != cells*KeyBytes {
-		return nil, fmt.Errorf("%w: key column length %d, want %d", frame.ErrCorrupt, len(region), cells*KeyBytes)
-	}
-	if cells == 0 {
-		return nil, nil
-	}
-	return unsafe.Slice((*Key)(unsafe.Pointer(&region[0])), cells), nil
-}
-
-// DecodeBlock fully decodes a block image back to its cells, in block
-// order. This is the brute-force path: full scans, compaction, and the
-// fuzz target go through it.
+// DecodeBlock validates a complete block image — header, footer frame and
+// data checksum — and decodes it back to its cells, in block order. Every
+// read is bounds-checked: this path is fuzzed with arbitrary bytes.
 func DecodeBlock(buf []byte) ([]Cell, error) {
-	h, _, metas, v, err := openBlock(buf)
-	if v == blockForeign {
-		return nil, fmt.Errorf("expstore: foreign block: %w", err)
+	h, v := parseBlockHeader(buf, int64(len(buf)))
+	switch v {
+	case blockForeign:
+		return nil, fmt.Errorf("expstore: foreign block")
+	case blockCorrupt:
+		return nil, fmt.Errorf("%w: block header", frame.ErrCorrupt)
 	}
+	payload, err := frame.Decode(footerMagic, FormatVersion, schemaKey, buf[h.footerOff:])
 	if err != nil {
 		return nil, err
+	}
+	fail := func(format string, args ...any) ([]Cell, error) {
+		return nil, fmt.Errorf("%w: block: %s", frame.ErrCorrupt, fmt.Sprintf(format, args...))
+	}
+	foot := &cursor{b: payload}
+	crc := foot.next(4)
+	data := &cursor{b: buf[blockHeaderSize:h.footerOff]}
+	if crc == nil || frame.Checksum(data.b) != binary.LittleEndian.Uint32(crc) {
+		return fail("data checksum mismatch")
+	}
+	// Every cell carries a 32-byte key, which bounds the allocation below
+	// by the file size.
+	if h.cells > len(data.b)/KeyBytes {
+		return fail("%d cells in %d data bytes", h.cells, len(data.b))
 	}
 	cells := make([]Cell, h.cells)
 	for i := range columns {
 		c := &columns[i]
+		col := &cursor{b: data.next(foot.uvarint())}
 		switch c.kind {
 		case kindDict:
-			idx, err := materializeDict(buf, &metas[i], h.cells)
-			if err != nil {
-				return nil, err
+			n := foot.uvarint()
+			if n == 0 || n > uint64(h.cells) {
+				return fail("column %q dictionary size %d for %d cells", c.name, n, h.cells)
+			}
+			dict := make([]string, n)
+			for j := range dict {
+				dict[j] = string(foot.next(foot.uvarint()))
 			}
 			for k := range cells {
-				*c.str(&cells[k]) = metas[i].dict[idx[k]]
+				j := col.uvarint()
+				if j >= n {
+					return fail("column %q dictionary index %d of %d", c.name, j, n)
+				}
+				*c.str(&cells[k]) = dict[j]
 			}
 		case kindUint:
-			vals, err := materializeUint(buf, &metas[i], h.cells)
-			if err != nil {
-				return nil, err
-			}
+			var prev uint64
 			for k := range cells {
-				*c.u64(&cells[k]) = vals[k]
+				prev += unzigzag(col.uvarint())
+				*c.u64(&cells[k]) = prev
 			}
 		case kindFloat:
-			vals, err := materializeFloat(buf, &metas[i], h.cells)
-			if err != nil {
-				return nil, err
-			}
 			for k := range cells {
-				*c.f64(&cells[k]) = vals[k]
+				if b := col.next(8); b != nil {
+					*c.f64(&cells[k]) = math.Float64frombits(binary.LittleEndian.Uint64(b))
+				}
 			}
 		case kindKey:
-			keys, err := materializeKeys(buf, &metas[i], h.cells)
-			if err != nil {
-				return nil, err
-			}
 			for k := range cells {
-				*c.ckey(&cells[k]) = keys[k]
+				copy(c.ckey(&cells[k])[:], col.next(KeyBytes))
 			}
 		}
+		if !col.done() || foot.bad || data.bad {
+			return fail("column %q region malformed", c.name)
+		}
+	}
+	if !foot.done() || !data.done() {
+		return fail("%d footer and %d data bytes left over", len(foot.b), len(data.b))
 	}
 	return cells, nil
 }

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -17,8 +19,8 @@ import (
 )
 
 // randCell fabricates a cell with identity fields drawn from small
-// vocabularies (so dictionary pruning has something to bite on) and
-// counters drawn wide (so delta encoding sees real ranges).
+// vocabularies (so filters and groups match several cells) and counters
+// drawn wide (so delta encoding sees real ranges).
 func randCell(rng *rand.Rand) Cell {
 	cats := []string{"compute_int", "compute_fp", "crypto", "srv"}
 	variants := []string{"No_imp", "All_imps", "BP_only", "BTB_only", "ICache_only"}
@@ -56,11 +58,7 @@ func TestBlockRoundTrip(t *testing.T) {
 		for i := range cells {
 			cells[i] = randCell(rng)
 		}
-		img, err := encodeBlock(cells, blockMeta{runID: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeBlock(img)
+		got, err := DecodeBlock(encodeBlock(cells))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -101,11 +99,7 @@ func TestSchemaCoversStats(t *testing.T) {
 	c.ROB, c.Cores, c.SamplePeriod, c.Instructions, c.Warmup = 1, 2, 3, 4, 5
 	c.IPC = 6.5
 	c.Key = resultcache.NewHasher("cover").Sum()
-	img, err := encodeBlock([]Cell{c}, blockMeta{runID: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBlock(img)
+	got, err := DecodeBlock(encodeBlock([]Cell{c}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +110,7 @@ func TestSchemaCoversStats(t *testing.T) {
 
 func newTestStore(t *testing.T, blockCells int) *Store {
 	t.Helper()
-	s, err := Open(Config{Dir: t.TempDir(), BlockCells: blockCells, CompactTrigger: 1 << 30})
+	s, err := Open(Config{Dir: t.TempDir(), BlockCells: blockCells})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +146,8 @@ func rowsEqual(a, b *Result) bool {
 }
 
 // TestQueryFullScanEquivalence is the randomized oracle: random cells in
-// small blocks, random queries, and the pruned+projected engine must
-// return exactly the rows the brute-force full scan does.
+// small blocks, random queries, and the index must return exactly the
+// rows the full scan from disk does.
 func TestQueryFullScanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s := newTestStore(t, 16)
@@ -170,7 +164,6 @@ func TestQueryFullScanEquivalence(t *testing.T) {
 		"rob":      {"64", "128", "256", "512", "7"},
 		"config":   {"develop", "ipc1"},
 	}
-	anyPruned := false
 	check := func(seed int64) bool {
 		qr := rand.New(rand.NewSource(seed))
 		var sb strings.Builder
@@ -202,20 +195,14 @@ func TestQueryFullScanEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fast.Stats.BlocksPruned > 0 {
-			anyPruned = true
-		}
 		if !rowsEqual(fast, slow) {
 			t.Logf("query %q diverged:\nfast %+v\nslow %+v", sb.String(), fast.Rows, slow.Rows)
 			return false
 		}
-		return fast.Stats.BytesRead <= slow.Stats.BytesRead
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-	if !anyPruned {
-		t.Fatal("no query pruned any block; footer statistics are inert")
 	}
 }
 
@@ -281,28 +268,22 @@ func cellMultiset(cells []Cell) []string {
 func TestCompactionPreservesMultiset(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := newTestStore(t, 8)
-	// Flush every 5 cells: 20 undersized tail-style blocks, the shape
-	// incremental appends leave behind.
+	// Flush every 5 cells: undersized tail-style blocks, the shape
+	// incremental appends leave behind. Every compactTrigger-th flush
+	// rewrites them as full blocks.
+	var want []Cell
 	for i := 0; i < 20; i++ {
-		fillStore(t, s, rng, 5)
+		want = append(want, fillStore(t, s, rng, 5)...)
 	}
-	before, err := s.ScanCells()
+	got, err := s.ScanCells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocksBefore := s.Blocks()
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.ScanCells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cellMultiset(before), cellMultiset(after)) {
+	if !reflect.DeepEqual(cellMultiset(got), cellMultiset(want)) {
 		t.Fatal("compaction changed the cell multiset")
 	}
-	if s.Blocks() >= blocksBefore {
-		t.Fatalf("compaction did not reduce block count: %d -> %d", blocksBefore, s.Blocks())
+	if s.Blocks() >= 20 {
+		t.Fatalf("compaction did not reduce block count: %d blocks for 20 flushes", s.Blocks())
 	}
 	if st := s.Stats(); st.Compactions == 0 || st.BlocksCompacted == 0 {
 		t.Fatalf("compaction counters not advanced: %+v", st)
@@ -320,11 +301,10 @@ func TestCorruptBlockDroppedAndReconverts(t *testing.T) {
 	s.Close()
 
 	// Flip the last column-data byte in one block (the byte before the
-	// footer is always inside the final column's checked region); the
-	// column checksum catches it when the column is materialized.
+	// footer); the data checksum catches it when the block is decoded.
 	names, _ := filepath.Glob(filepath.Join(dir, "*.expb"))
 	if len(names) < 2 {
-		t.Fatalf("expected multiple partitioned blocks, have %v", names)
+		t.Fatalf("expected multiple blocks, have %v", names)
 	}
 	victim := names[len(names)/2]
 	img, err := os.ReadFile(victim)
@@ -346,8 +326,8 @@ func TestCorruptBlockDroppedAndReconverts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	// A full scan materializes every column, so the damaged one is found,
-	// the block dropped, and the scan completes on what remains.
+	// A full scan decodes every block, so the damaged one is found, the
+	// block dropped, and the scan completes on what remains.
 	q, _ := ParseQuery("stat=count")
 	res, err := s2.FullScan(q)
 	if err != nil {
@@ -459,105 +439,201 @@ func TestCellsReadBack(t *testing.T) {
 	}
 }
 
-// TestPartitionedBlocksArePure pins the writer's partition discipline:
-// every flushed block holds exactly one (category, config) pair, which is
-// what makes category/config/trace pruning effective.
-func TestPartitionedBlocksArePure(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	s := newTestStore(t, 8)
-	fillStore(t, s, rng, 120)
-	for _, ref := range s.snapshot() {
-		r, err := s.acquire(ref)
+// TestQueryKeepFirstAcrossBlocks covers the crash-leftover shape: the
+// same cells in two block files (a compaction output next to an input it
+// did not get to remove). Both the index and the full scan count each key
+// once.
+func TestQueryKeepFirstAcrossBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dir := t.TempDir()
+	img := encodeBlock([]Cell{randCell(rng), randCell(rng)})
+	os.WriteFile(filepath.Join(dir, blockName(0, 0)), img, 0o644)
+	os.WriteFile(filepath.Join(dir, blockName(0, 1)), img, 0o644)
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	q, _ := ParseQuery("stat=count")
+	for _, fullScan := range []bool{false, true} {
+		run := s.Query
+		if fullScan {
+			run = s.FullScan
+		}
+		res, err := run(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cat := r.metas[colIndex["category"]].dict
-		cfg := r.metas[colIndex["config"]].dict
-		if len(cat) != 1 || len(cfg) != 1 {
-			t.Fatalf("block %s mixes partitions: categories %v configs %v", ref.path, cat, cfg)
+		if res.Stats.DupDropped != 2 || len(res.Rows) != 1 || res.Rows[0].Count != 2 {
+			t.Fatalf("fullScan=%v: rows %+v, %d dups dropped; want one row counting 2 cells, 2 dups",
+				fullScan, res.Rows, res.Stats.DupDropped)
 		}
 	}
 }
 
-// TestQueryKeySkipAndDedup covers the dup-free scan optimization from both
-// sides: a linear store proves its blocks disjoint and skips the key
-// column entirely, while crash-leftover and concurrent-writer lineages
-// force the key column back on so keep-first dedup stays correct.
-func TestQueryKeySkipAndDedup(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+// TestReadsDoNotWriteBlocks pins that Query and Cells serve pending cells
+// from the index: only Flush (or Close, or a full append buffer) writes.
+func TestReadsDoNotWriteBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
 	s := newTestStore(t, 8)
-	fillStore(t, s, rng, 60)
+	var keys []Key
+	for i := 0; i < 3; i++ {
+		c := randCell(rng)
+		keys = append(keys, c.Key)
+		if err := s.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
 	q, _ := ParseQuery("stat=count")
 	res, err := s.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One writer run: lineage proves the blocks disjoint, so the only
-	// materialized column is the ipc metric.
-	if res.Stats.ColumnsRead != 1 || res.Stats.DupDropped != 0 {
-		t.Fatalf("linear store read %d columns (%d dups), want the metric column only",
-			res.Stats.ColumnsRead, res.Stats.DupDropped)
+	if len(res.Rows) != 1 || res.Rows[0].Count != 3 {
+		t.Fatalf("query rows %+v, want one row counting 3 cells", res.Rows)
 	}
-	if len(res.Rows) != 1 || res.Rows[0].Count != 60 {
-		t.Fatalf("rows %+v, want one row counting 60 cells", res.Rows)
+	got, err := s.Cells(keys)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(got) != 3 {
+		t.Fatalf("read back %d cells, want 3", len(got))
+	}
+	if n := s.Stats().BlocksWritten; n != 0 {
+		t.Fatalf("reads wrote %d blocks, want 0", n)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Stats().BlocksWritten; n != 1 {
+		t.Fatalf("Flush wrote %d blocks, want 1", n)
+	}
+}
 
-	// Crash-leftover shape: a compaction output (source range covering
-	// sequence 0) coexists with its input. The overlap flags the pair, the
-	// key column comes back, and the duplicates are dropped.
+// TestConcurrentAppendQueryFlush drives one Store the way the daemon
+// does: an appender, queriers, a read-back and a flusher at once, with
+// blocks small enough that the flushes trigger compaction. Every query
+// must see exactly some prefix of the appends.
+func TestConcurrentAppendQueryFlush(t *testing.T) {
+	const n = 200
+	rng := rand.New(rand.NewSource(13))
+	cells := make([]Cell, n)
+	for i := range cells {
+		cells[i] = randCell(rng)
+		cells[i].ROB = uint64(i) // position in append order
+	}
 	dir := t.TempDir()
-	cells := []Cell{randCell(rng), randCell(rng)}
-	sortCells(cells)
-	fresh, err := encodeBlock(cells, blockMeta{runID: 7, baseSeq: 0})
+	s, err := Open(Config{Dir: dir, BlockCells: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := encodeBlock(cells, blockMeta{runID: 7, baseSeq: 0, hasSrc: true, srcMin: 0, srcMax: 0})
-	if err != nil {
+	var appended atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := range cells {
+			if err := s.Append(cells[i]); err != nil {
+				t.Error(err)
+				return
+			}
+			appended.Store(int64(i + 1))
+			if i%3 == 2 { // undersized blocks, so compaction certainly runs
+				if err := s.Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	q, _ := ParseQuery("metric=rob stat=count,max,sum")
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lo := appended.Load()
+				res, err := s.Query(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				k := int64(0)
+				if len(res.Rows) == 1 {
+					k = int64(res.Rows[0].Count)
+					// A prefix of k appends has ROBs 0..k-1.
+					if res.Rows[0].Values[1] != float64(k-1) || res.Rows[0].Values[2] != float64(k*(k-1)/2) {
+						t.Errorf("query saw %d cells that are not a prefix: %v", k, res.Rows[0].Values)
+						return
+					}
+				}
+				if k < lo || k > appended.Load()+1 {
+					t.Errorf("query saw %d cells with %d..%d appended", k, lo, appended.Load())
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := appended.Load()
+			keys := make([]Key, k)
+			for i := range keys {
+				keys[i] = cells[i].Key
+			}
+			got, err := s.Cells(keys)
+			if err != nil || int64(len(got)) != k {
+				t.Errorf("read back %d of %d appended cells (err %v)", len(got), k, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.Flush(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	os.WriteFile(filepath.Join(dir, blockName(0, 0)), fresh, 0o644)
-	os.WriteFile(filepath.Join(dir, blockName(0, 1)), merged, 0o644)
+	if st := s.Stats(); st.Compactions == 0 {
+		t.Errorf("no compaction ran: %+v", st)
+	}
 	s2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	res2, err := s2.Query(q)
+	res, err := s2.FullScan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Stats.DupDropped != 2 {
-		t.Fatalf("DupDropped = %d, want 2 (leftover cells deduplicated)", res2.Stats.DupDropped)
-	}
-	full, err := s2.FullScan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rowsEqual(res2, full) {
-		t.Fatalf("pruned rows %+v diverge from full scan %+v", res2.Rows, full.Rows)
-	}
-
-	// Concurrent-writer shape: two runs that started from the same view
-	// cannot prove each other's blocks disjoint, so the key column is
-	// materialized even though no duplicate exists.
-	dir2 := t.TempDir()
-	a, _ := encodeBlock([]Cell{randCell(rng)}, blockMeta{runID: 21, baseSeq: 0})
-	b, _ := encodeBlock([]Cell{randCell(rng)}, blockMeta{runID: 22, baseSeq: 0})
-	os.WriteFile(filepath.Join(dir2, blockName(0, 0)), a, 0o644)
-	os.WriteFile(filepath.Join(dir2, blockName(1, 0)), b, 0o644)
-	s3, err := Open(Config{Dir: dir2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	res3, err := s3.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Stats.ColumnsRead != 2 || res3.Stats.DupDropped != 0 {
-		t.Fatalf("concurrent-writer store read %d columns (%d dups), want key + metric",
-			res3.Stats.ColumnsRead, res3.Stats.DupDropped)
+	if len(res.Rows) != 1 || res.Rows[0].Count != n {
+		t.Fatalf("reopened store holds %+v, want %d cells", res.Rows, n)
 	}
 }
 

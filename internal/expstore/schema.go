@@ -1,19 +1,23 @@
-// Package expstore is the append-only columnar store for sweep result
-// cells — the (trace × variant × config) matrix a production deployment
-// accumulates and explores interactively. Each block file holds a batch of
-// cells column-major: dictionary encoding for low-cardinality strings,
-// zigzag-delta varints for counters, raw fixed-width IEEE-754 for floats,
-// and raw 32-byte content keys. A CRC-32C-checked footer carries per-column
-// min/max/dictionary statistics, so a query prunes whole blocks from their
-// footers and materializes only the columns it references; the header page
-// is 4 KiB so the column data region is page-aligned and blocks are
-// mmap-served, sharing page-cache residency across queries and processes.
+// Package expstore is the append-only store for sweep result cells — the
+// (trace × variant × config) matrix the paper's figures and tables are
+// drawn from, kept as a reproducible record of what each sweep measured.
+// Each block file holds a batch of cells column-major: dictionary encoding
+// for low-cardinality strings, zigzag-delta varints for counters, raw
+// IEEE-754 for floats, and raw 32-byte content keys, closed by a
+// CRC-32C-checked footer.
+//
+// The store is small (hundreds of cells), so reads go through one
+// in-memory index of every cell, keyed by content key. It is built on
+// first use by decoding each block file once, keeping the first cell for
+// each key, and it also holds the appended cells not yet flushed: Append
+// dedups against it, Cells looks keys up in it, and Query filters and
+// aggregates over it. FullScan is the reference path, which decodes every
+// block from disk instead.
 //
 // The store follows the tracestore discipline: a Corrupt header or a
-// failed column checksum discards the block (removed, warned, counted —
-// the cells are re-appended by the next sweep), a Foreign one (other
-// format version or schema) is skipped but left in place, and concurrent
-// block mappings are shared through a single-flight residency layer.
+// failed checksum discards the block (removed, warned, counted — the
+// cells are re-appended by the next sweep), and a Foreign one (other
+// format version or schema) is skipped but left in place.
 package expstore
 
 import (
@@ -25,7 +29,7 @@ import (
 // FormatVersion identifies the on-disk block layout. Bump it for any
 // change to the header, footer, or column encodings; old-version files
 // then read as foreign and are ignored.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Key is the 32-byte content address of a cell — the same result-cache key
 // the sweep engine uses, so a store cell and its cache entry corroborate
@@ -64,22 +68,19 @@ type Cell struct {
 	Conv core.Stats
 }
 
-// colKind selects a column's encoding and footer statistics.
+// colKind selects a column's encoding.
 type colKind uint8
 
 const (
 	// kindDict: dictionary-encoded string. The footer holds the block's
-	// sorted distinct values; the data region holds one uvarint dictionary
-	// index per cell. The dictionary doubles as the pruning statistic.
+	// distinct values; the data region holds one uvarint dictionary index
+	// per cell.
 	kindDict colKind = 1
-	// kindUint: zigzag-delta uvarint uint64. Footer stats: min, max.
+	// kindUint: zigzag-delta uvarint uint64.
 	kindUint colKind = 2
-	// kindFloat: raw little-endian IEEE-754 float64, 8-byte aligned so a
-	// mapped block serves the column as a zero-copy []float64 view on
-	// little-endian hosts. Footer stats: min, max.
+	// kindFloat: raw little-endian IEEE-754 float64.
 	kindFloat colKind = 3
-	// kindKey: raw 32-byte content key per cell. Footer stats:
-	// lexicographic min, max.
+	// kindKey: raw 32-byte content key per cell.
 	kindKey colKind = 4
 )
 

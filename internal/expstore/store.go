@@ -1,11 +1,10 @@
 package expstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,15 +22,14 @@ type Config struct {
 	// once this many cells accumulate (or on Flush/Close). Blocks smaller
 	// than this are compaction candidates. Default 256.
 	BlockCells int
-	// CompactTrigger starts background compaction once this many
-	// undersized blocks exist. Default 8.
-	CompactTrigger int
-	// MaxBlockCells bounds a compacted block. Default 16×BlockCells.
-	MaxBlockCells int
 	// Warn receives diagnostics for corrupt blocks and write failures;
 	// nil discards them.
 	Warn func(format string, args ...any)
 }
+
+// compactTrigger is the number of undersized blocks at which Flush
+// rewrites them as full ones.
+const compactTrigger = 8
 
 // Stats are the store's observability counters, all cumulative since Open.
 type Stats struct {
@@ -52,63 +50,37 @@ type Stats struct {
 	Corrupt uint64 `json:"corrupt"`
 	Foreign uint64 `json:"foreign"`
 	// WriteErrors counts failed block writes. Appends degrade gracefully:
-	// the sweep result is still returned, the store just misses the cell.
+	// the index still serves the cells to this process, but they are not
+	// persisted.
 	WriteErrors uint64 `json:"write_errors"`
 }
 
-// blockRef is one on-disk block. Mappings are created lazily under
-// single-flight and stay resident until Close; compaction retires refs but
-// never unmaps them mid-life, so query snapshots remain valid.
+// blockRef is one serveable block file, as its header describes it.
 type blockRef struct {
-	path    string
-	seq     int
-	gen     int
-	size    int64
-	foreign bool
-
-	mapOnce sync.Once
-	mapErr  error
-	data    []byte
-	h       blockHeader
-	bm      blockMeta
-	metas   []colMeta
+	path  string
+	seq   int
+	gen   int
+	size  int64
+	cells int
 }
 
-// srcRange is the sequence range a block's cells originate from: the
-// block's own sequence for fresh flushes, the recorded source range for
-// compaction outputs. Dup-suspicion analysis works on these ranges.
-func (ref *blockRef) srcRange() (lo, hi uint64) {
-	if ref.bm.hasSrc {
-		return ref.bm.srcMin, ref.bm.srcMax
-	}
-	return uint64(ref.seq), uint64(ref.seq)
-}
-
-// Store is an append-only columnar store of experiment cells backed by
-// block files in one directory.
+// Store is an append-only store of experiment cells backed by block files
+// in one directory. All methods are safe for concurrent use.
 type Store struct {
 	cfg Config
 
 	mu      sync.Mutex
-	blocks  []*blockRef
-	retired []*blockRef // compacted away; unmapped at Close
+	blocks  []*blockRef // serveable blocks in (seq, gen) order
 	nextSeq int
-	// pending buffers cells per partition — the (category, config) pair —
-	// so every flushed block is partition-pure and category/config/trace
-	// filters prune it from its footer dictionaries alone.
-	pending  map[string][]Cell
-	nPending int
-	seen     map[Key]struct{} // nil until first Append builds the index
-	// runID and baseSeq stamp every block this store writes: the writer
-	// lineage queries use to prove scanned blocks duplicate-free (see
-	// blockMeta).
-	runID   uint64
-	baseSeq uint64
+	// cells is the index: the first cell seen for each content key, disk
+	// cells first, then appends in order. byKey maps a key to its
+	// position, and cells[flushed:] are the appends not yet written.
+	// Both are nil until the first Append, Cells or Query loads them.
+	cells   []Cell
+	byKey   map[Key]int
+	flushed int
 	stats   Stats
 	closed  bool
-
-	compacting bool
-	compactCv  *sync.Cond
 }
 
 func blockName(seq, gen int) string {
@@ -124,20 +96,14 @@ func parseBlockName(name string) (seq, gen int, ok bool) {
 }
 
 // Open scans dir (created if missing) for block files, removing temp-file
-// leftovers and corrupt headers, and returns the store ready to append and
-// query.
+// leftovers and corrupt headers. It reads only block headers; the index
+// is loaded on first use.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("expstore: empty directory")
 	}
 	if cfg.BlockCells <= 0 {
 		cfg.BlockCells = 256
-	}
-	if cfg.CompactTrigger <= 0 {
-		cfg.CompactTrigger = 8
-	}
-	if cfg.MaxBlockCells <= 0 {
-		cfg.MaxBlockCells = 16 * cfg.BlockCells
 	}
 	if cfg.Warn == nil {
 		cfg.Warn = func(string, ...any) {}
@@ -146,7 +112,6 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("expstore: %w", err)
 	}
 	s := &Store{cfg: cfg}
-	s.compactCv = sync.NewCond(&s.mu)
 	entries, err := os.ReadDir(cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("expstore: %w", err)
@@ -170,23 +135,17 @@ func Open(cfg Config) (*Store, error) {
 			s.cfg.Warn("expstore: ignoring unrecognized file %s", path)
 			continue
 		}
-		info, err := e.Info()
-		if err != nil {
-			continue
+		if seq >= s.nextSeq {
+			s.nextSeq = seq + 1
 		}
-		ref := &blockRef{path: path, seq: seq, gen: gen, size: info.Size()}
+		ref := &blockRef{path: path, seq: seq, gen: gen}
 		switch s.classify(ref) {
 		case blockOK:
 			s.blocks = append(s.blocks, ref)
 		case blockForeign:
-			ref.foreign = true
 			s.stats.Foreign++
-			s.blocks = append(s.blocks, ref)
 		case blockCorrupt:
-			s.dropCorrupt(ref, fmt.Errorf("header validation failed"))
-		}
-		if seq >= s.nextSeq {
-			s.nextSeq = seq + 1
+			s.dropCorrupt(ref.path, fmt.Errorf("header validation failed"))
 		}
 	}
 	sort.Slice(s.blocks, func(i, j int) bool {
@@ -195,83 +154,99 @@ func Open(cfg Config) (*Store, error) {
 		}
 		return s.blocks[i].gen < s.blocks[j].gen
 	})
-	// Every block present now is loaded into the seen-set before the first
-	// append, so this run's blocks are dup-free against anything below
-	// baseSeq; a zero run ID would read as "unknown writer" to queries.
-	s.baseSeq = uint64(s.nextSeq)
-	for s.runID == 0 {
-		s.runID = rand.Uint64()
-	}
-	s.pending = make(map[string][]Cell)
 	return s, nil
 }
 
-// classify reads just the header page to sort a scanned file into the
-// OK/Corrupt/Foreign trichotomy without mapping the block.
+// classify reads just the header to sort a file into the
+// OK/Corrupt/Foreign trichotomy, filling in ref's size and cell count.
 func (s *Store) classify(ref *blockRef) blockVerdict {
 	f, err := os.Open(ref.path)
 	if err != nil {
 		return blockCorrupt
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return blockCorrupt
+	}
 	buf := make([]byte, blockHeaderSize)
 	if _, err := f.ReadAt(buf, 0); err != nil {
 		return blockCorrupt
 	}
-	h, v := parseBlockHeader(buf, ref.size)
-	if v == blockOK {
-		ref.h = h
-	}
+	h, v := parseBlockHeader(buf, info.Size())
+	ref.size, ref.cells = info.Size(), h.cells
 	return v
 }
 
 // dropCorrupt removes a damaged block file: its cells were lost, but they
 // reconvert — the next sweep recomputes and re-appends them.
-func (s *Store) dropCorrupt(ref *blockRef, err error) {
+func (s *Store) dropCorrupt(path string, err error) {
 	s.stats.Corrupt++
-	s.cfg.Warn("expstore: removing corrupt block %s: %v", ref.path, err)
-	os.Remove(ref.path)
+	s.cfg.Warn("expstore: removing corrupt block %s: %v", path, err)
+	os.Remove(path)
 }
 
-// acquire maps a block (single-flight via sync.Once) and validates its
-// footer and column directory. A nil return with nil error means the block
-// turned out corrupt and was dropped from the store.
-func (s *Store) acquire(ref *blockRef) (*blockRef, error) {
-	ref.mapOnce.Do(func() {
-		f, err := os.Open(ref.path)
-		if err != nil {
-			ref.mapErr = err
-			return
+// readLocked reads and decodes one block file. A damaged block is dropped
+// from the store; a vanished (compacted by another process) or foreign
+// one is skipped. mu is held.
+func (s *Store) readLocked(ref *blockRef) ([]Cell, bool) {
+	buf, err := os.ReadFile(ref.path)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			s.removeRefLocked(ref)
 		}
-		defer f.Close()
-		data, err := frame.MapFile(f, ref.size)
-		if err != nil {
-			ref.mapErr = err
-			return
-		}
-		h, bm, metas, v, err := openBlock(data)
-		if err != nil {
-			frame.Unmap(data)
-			if v == blockCorrupt {
-				ref.mapErr = fmt.Errorf("%w (removed)", err)
-				s.mu.Lock()
-				s.dropCorrupt(ref, err)
-				s.removeRefLocked(ref)
-				s.mu.Unlock()
-			} else {
-				ref.mapErr = err
-			}
-			return
-		}
-		ref.data, ref.h, ref.bm, ref.metas = data, h, bm, metas
-	})
-	if ref.mapErr != nil {
-		return nil, ref.mapErr
+		return nil, false
 	}
-	return ref, nil
+	cells, err := DecodeBlock(buf)
+	if errors.Is(err, frame.ErrCorrupt) {
+		s.dropCorrupt(ref.path, err)
+		s.removeRefLocked(ref)
+	}
+	return cells, err == nil
 }
 
-// removeRefLocked drops ref from the active block list (mu held).
+// scanLocked reads every serveable block in (seq, gen) order, handing
+// each one's cells to fn, and returns the bytes read. mu is held.
+func (s *Store) scanLocked(fn func([]Cell)) int64 {
+	var read int64
+	for _, ref := range append([]*blockRef(nil), s.blocks...) {
+		if cells, ok := s.readLocked(ref); ok {
+			read += ref.size
+			fn(cells)
+		}
+	}
+	return read
+}
+
+// loadLocked builds the index on first use, keeping the first cell for
+// each key: duplicates (crash leftovers of a compaction, or concurrent
+// writers) carry identical values, since the engine is deterministic. It
+// returns the bytes read and the duplicates dropped. mu is held.
+func (s *Store) loadLocked() (read int64, dups int) {
+	if s.byKey != nil {
+		return 0, 0
+	}
+	n := 0
+	for _, b := range s.blocks {
+		n += b.cells
+	}
+	s.cells = make([]Cell, 0, n)
+	s.byKey = make(map[Key]int, n)
+	read = s.scanLocked(func(cells []Cell) {
+		for i := range cells {
+			if _, dup := s.byKey[cells[i].Key]; dup {
+				dups++
+				continue
+			}
+			s.byKey[cells[i].Key] = len(s.cells)
+			s.cells = append(s.cells, cells[i])
+		}
+	})
+	s.flushed = len(s.cells)
+	return read, dups
+}
+
+// removeRefLocked drops ref from the block list (mu held).
 func (s *Store) removeRefLocked(ref *blockRef) {
 	for i, b := range s.blocks {
 		if b == ref {
@@ -281,153 +256,114 @@ func (s *Store) removeRefLocked(ref *blockRef) {
 	}
 }
 
-// snapshot returns the current serveable blocks in (seq, gen) order.
-// Mappings stay valid for the life of the store, so the snapshot can be
-// read without further locking.
-func (s *Store) snapshot() []*blockRef {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*blockRef, 0, len(s.blocks))
-	for _, b := range s.blocks {
-		if !b.foreign {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// buildSeenLocked loads the content keys of every serveable block so
-// appends dedup against cells already on disk — a warm re-run appends
-// nothing and the store does not grow. mu is held; mapping happens with it
-// released.
-func (s *Store) buildSeenLocked() {
-	if s.seen != nil {
-		return
-	}
-	s.mu.Unlock()
-	seen := make(map[Key]struct{})
-	for _, ref := range s.snapshot() {
-		r, err := s.acquire(ref)
-		if err != nil {
-			continue
-		}
-		ki := colIndex["key"]
-		keys, err := materializeKeys(r.data, &r.metas[ki], r.h.cells)
-		if err != nil {
-			s.mu.Lock()
-			s.dropCorrupt(ref, err)
-			s.removeRefLocked(ref)
-			s.mu.Unlock()
-			continue
-		}
-		for _, k := range keys {
-			seen[k] = struct{}{}
-		}
-	}
-	s.mu.Lock()
-	if s.seen == nil {
-		s.seen = seen
-		for _, cells := range s.pending {
-			for i := range cells {
-				s.seen[cells[i].Key] = struct{}{}
-			}
-		}
-	}
-}
-
-// partitionKey buckets a cell for block purity: one partition per
-// (category, config) pair, so a flushed block's category and config
-// dictionaries are singletons and its trace dictionary spans one category.
-func partitionKey(cell *Cell) string {
-	return cell.Category + "\x00" + cell.Config
-}
-
 // Append offers one cell. Cells already present under the same content key
 // (on disk or pending) are dropped — the engine is deterministic, so a
-// duplicate key is a duplicate cell. Cells buffer per (category, config)
-// partition; a partition flushes to its own block once BlockCells
-// accumulate, keeping footer statistics pure so pruning bites.
+// duplicate key is a duplicate cell. A block is written once BlockCells
+// new cells accumulate.
 func (s *Store) Append(cell Cell) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("expstore: store closed")
 	}
-	s.buildSeenLocked()
+	s.loadLocked()
 	s.stats.Appends++
-	if _, dup := s.seen[cell.Key]; dup {
+	if _, dup := s.byKey[cell.Key]; dup {
 		s.stats.DupSkipped++
 		return nil
 	}
-	s.seen[cell.Key] = struct{}{}
-	part := partitionKey(&cell)
-	s.pending[part] = append(s.pending[part], cell)
-	s.nPending++
-	if len(s.pending[part]) >= s.cfg.BlockCells {
-		return s.flushPartitionLocked(part)
+	s.byKey[cell.Key] = len(s.cells)
+	s.cells = append(s.cells, cell)
+	if len(s.cells)-s.flushed >= s.cfg.BlockCells {
+		return s.flushLocked()
 	}
 	return nil
 }
 
-// sortCells orders a batch by identity columns then key, so block footer
-// statistics are tight and pruning bites.
-func sortCells(cells []Cell) {
-	sort.SliceStable(cells, func(i, j int) bool {
-		a, b := &cells[i], &cells[j]
-		if a.Category != b.Category {
-			return a.Category < b.Category
-		}
-		if a.Trace != b.Trace {
-			return a.Trace < b.Trace
-		}
-		if a.Variant != b.Variant {
-			return a.Variant < b.Variant
-		}
-		return bytes.Compare(a.Key[:], b.Key[:]) < 0
-	})
-}
-
-// Flush writes every pending partition as a block, in partition order.
+// Flush writes the pending cells as a block. Once compactTrigger blocks
+// are undersized, it then rewrites those as full blocks.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.nPending == 0 {
+	if len(s.cells) == s.flushed {
 		return nil
 	}
-	parts := make([]string, 0, len(s.pending))
-	for part := range s.pending {
-		parts = append(parts, part)
-	}
-	sort.Strings(parts)
-	var firstErr error
-	for _, part := range parts {
-		if err := s.flushPartitionLocked(part); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	err := s.flushLocked()
+	s.compactLocked()
+	return err
 }
 
-func (s *Store) flushPartitionLocked(part string) error {
-	cells := s.pending[part]
-	if len(cells) == 0 {
-		return nil
-	}
-	delete(s.pending, part)
-	s.nPending -= len(cells)
-	sortCells(cells)
-	bm := blockMeta{runID: s.runID, baseSeq: s.baseSeq}
-	ref, err := s.writeBlockLocked(cells, bm, 0, 0, true)
+// flushLocked writes cells[flushed:] as one block (mu held). On a write
+// failure the cells stay in the index, so this process still serves
+// them, and a later process re-appends them.
+func (s *Store) flushLocked() error {
+	cells := s.cells[s.flushed:]
+	s.flushed = len(s.cells)
+	ref, err := s.writeBlockLocked(cells, 0, 0, true)
 	if err != nil {
 		s.stats.WriteErrors++
-		// The cells' keys stay in seen: re-offering them this process
-		// would fail the same way. A later process re-appends them.
-		s.cfg.Warn("expstore: block write failed, %d cells dropped: %v", len(cells), err)
+		s.cfg.Warn("expstore: block write failed, %d cells not persisted: %v", len(cells), err)
 		return err
 	}
 	s.insertRefLocked(ref)
-	s.maybeCompactLocked()
 	return nil
+}
+
+// compactLocked merges the undersized blocks into full ones once there
+// are compactTrigger of them (mu held). The cell multiset is preserved
+// exactly. The outputs are published before the inputs are removed, so a
+// crash in between leaves only duplicate cells, which the next index load
+// drops keep-first.
+func (s *Store) compactLocked() {
+	var undersized []*blockRef
+	for _, b := range s.blocks {
+		if b.cells < s.cfg.BlockCells {
+			undersized = append(undersized, b)
+		}
+	}
+	if len(undersized) < compactTrigger {
+		return
+	}
+	var inputs []*blockRef
+	var cells []Cell
+	gen := 0
+	for _, ref := range undersized {
+		if cs, ok := s.readLocked(ref); ok {
+			inputs = append(inputs, ref)
+			cells = append(cells, cs...)
+			gen = max(gen, ref.gen)
+		}
+	}
+	if len(inputs) == 0 {
+		return
+	}
+	seq := inputs[0].seq
+	var outs []*blockRef
+	for len(cells) > 0 {
+		n := min(len(cells), s.cfg.BlockCells)
+		gen++
+		ref, err := s.writeBlockLocked(cells[:n], seq, gen, false)
+		if err != nil {
+			s.stats.WriteErrors++
+			s.cfg.Warn("expstore: compaction write failed: %v", err)
+			for _, o := range outs {
+				os.Remove(o.path)
+			}
+			return
+		}
+		outs = append(outs, ref)
+		gen = ref.gen
+		cells = cells[n:]
+	}
+	s.stats.Compactions++
+	s.stats.BlocksCompacted += uint64(len(inputs))
+	for _, ref := range inputs {
+		s.removeRefLocked(ref)
+		os.Remove(ref.path)
+	}
+	for _, ref := range outs {
+		s.insertRefLocked(ref)
+	}
 }
 
 // writeBlockLocked encodes cells and publishes the file under an unused
@@ -435,11 +371,8 @@ func (s *Store) flushPartitionLocked(part string) error {
 // same directory cannot silently overwrite each other's blocks. Fresh
 // flushes pass bumpSeq and allocate the next sequence number; compaction
 // keeps its first input's sequence and bumps the generation instead.
-func (s *Store) writeBlockLocked(cells []Cell, bm blockMeta, seq, gen int, bumpSeq bool) (*blockRef, error) {
-	img, err := encodeBlock(cells, bm)
-	if err != nil {
-		return nil, err
-	}
+func (s *Store) writeBlockLocked(cells []Cell, seq, gen int, bumpSeq bool) (*blockRef, error) {
+	img := encodeBlock(cells)
 	tmpPath, _, err := frame.WriteTemp(s.cfg.Dir, func(w io.Writer) error {
 		_, err := w.Write(img)
 		return err
@@ -474,11 +407,7 @@ func (s *Store) writeBlockLocked(cells []Cell, bm blockMeta, seq, gen int, bumpS
 	s.stats.BlocksWritten++
 	s.stats.CellsWritten += uint64(len(cells))
 	s.stats.BytesWritten += uint64(len(img))
-	ref := &blockRef{path: path, seq: seq, gen: gen, size: int64(len(img))}
-	if v := s.classify(ref); v != blockOK {
-		return nil, fmt.Errorf("expstore: freshly written block %s fails validation", path)
-	}
-	return ref, nil
+	return &blockRef{path: path, seq: seq, gen: gen, size: int64(len(img)), cells: len(cells)}, nil
 }
 
 // insertRefLocked adds a block keeping (seq, gen) order.
@@ -506,32 +435,14 @@ func (s *Store) Dir() string { return s.cfg.Dir }
 func (s *Store) Blocks() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, b := range s.blocks {
-		if !b.foreign {
-			n++
-		}
-	}
-	return n
+	return len(s.blocks)
 }
 
-// Close flushes pending cells, waits out any background compaction, and
-// unmaps every block. The store must not be used afterwards.
+// Close flushes pending cells. The store must not be used afterwards.
 func (s *Store) Close() error {
 	err := s.Flush()
 	s.mu.Lock()
-	for s.compacting {
-		s.compactCv.Wait()
-	}
 	s.closed = true
-	refs := append(append([]*blockRef{}, s.blocks...), s.retired...)
-	s.blocks, s.retired = nil, nil
 	s.mu.Unlock()
-	for _, ref := range refs {
-		if ref.data != nil {
-			frame.Unmap(ref.data)
-			ref.data = nil
-		}
-	}
 	return err
 }

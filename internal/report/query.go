@@ -40,9 +40,9 @@ func expandAliases(src string) string {
 }
 
 // Query parses src (with variant aliases expanded) and executes it against
-// the experiment store — block-pruned by default, or by brute-force full
-// scan when fullScan is set (the comparison baseline: identical rows, no
-// pruning, every byte read).
+// the experiment store — over its in-memory index by default, or by
+// decoding every block from disk when fullScan is set (the reference path:
+// identical rows).
 func Query(store *expstore.Store, src string, fullScan bool) (*expstore.Result, error) {
 	q, err := expstore.ParseQuery(expandAliases(src))
 	if err != nil {
@@ -90,9 +90,8 @@ func RenderQuery(w io.Writer, res *expstore.Result) {
 		line(cells)
 	}
 	st := res.Stats
-	fmt.Fprintf(w, "  -- %d rows; blocks %d/%d pruned, %d scanned; read %d of %d bytes (%d columns); cells %d scanned, %d matched\n",
-		len(res.Rows), st.BlocksPruned, st.BlocksTotal, st.BlocksScanned,
-		st.BytesRead, st.BytesTotal, st.ColumnsRead, st.CellsScanned, st.CellsMatched)
+	fmt.Fprintf(w, "  -- %d rows; cells %d scanned, %d matched, %d duplicates dropped; read %d block bytes\n",
+		len(res.Rows), st.CellsScanned, st.CellsMatched, st.DupDropped, st.BytesRead)
 }
 
 // queryJSON is the wire form of a query result, shared by `rebase query

@@ -275,10 +275,11 @@ func (s *Server) StatusSnapshot() Status {
 	}
 }
 
-// handleQuery is GET /query?q=<query string>: run a block-pruned query
-// over the daemon's experiment store — cells recorded by every job it has
-// executed — and return the rows as JSON. ?full-scan=1 forces the
-// brute-force baseline.
+// handleQuery is GET /query?q=<query string>: run a query over the
+// in-memory index of the daemon's experiment store — cells recorded by
+// every job it has executed, flushed or not — and return the rows as
+// JSON. It writes no blocks. ?full-scan=1 forces the reference path, which
+// flushes and decodes every block from disk.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
